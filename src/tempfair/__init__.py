@@ -10,13 +10,14 @@ scheduling extension, seeded instance generators, and a command line tool.
 from .errors import (
     BufferViolation,
     PreconditionError,
+    SearchCapExceeded,
+    ShareCapExceeded,
     SolverFailure,
     TempfairError,
     ValidationError,
 )
 from .fairness import (
     Concept,
-    ShareCapExceeded,
     Verdict,
     check_temporal,
     is_alpha_efx,
@@ -27,13 +28,11 @@ from .fairness import (
 )
 from .model import (
     Good,
-    Schedule,
     SettingClass,
     TemporalAllocation,
     TemporalInstance,
     allocation_from_json,
     allocation_to_json,
-    apply_delay,
     classify,
     good_key,
     instance_from_json,
@@ -42,7 +41,7 @@ from .model import (
     validate,
 )
 from .generators import generate
-from .search import SearchCapExceeded, SearchOutcome, search
+from .search import SearchOutcome, search
 from .solvers import SOLVERS, SolverEntry
 from .verification import FixtureReport, verify_counterexamples
 
@@ -53,7 +52,6 @@ __all__ = [
     "Good",
     "PreconditionError",
     "SOLVERS",
-    "Schedule",
     "SearchCapExceeded",
     "SearchOutcome",
     "SettingClass",
@@ -67,7 +65,6 @@ __all__ = [
     "Verdict",
     "allocation_from_json",
     "allocation_to_json",
-    "apply_delay",
     "check_temporal",
     "classify",
     "generate",

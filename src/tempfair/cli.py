@@ -12,12 +12,8 @@ import argparse
 import json
 import sys
 
-from .errors import (
-    PreconditionError,
-    SolverFailure,
-    ValidationError,
-)
-from .fairness import Concept, ShareCapExceeded, check_temporal
+from .errors import SolverFailure, TempfairError
+from .fairness import Concept, check_temporal
 from .generators import generate
 from .model import (
     allocation_to_json,
@@ -26,7 +22,7 @@ from .model import (
     load_allocation,
     load_instance,
 )
-from .search import SearchCapExceeded, search
+from .search import search
 from .solvers import SOLVERS
 from .verification import verify_counterexamples
 
@@ -214,16 +210,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (ValidationError, PreconditionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (SearchCapExceeded, ShareCapExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except SolverFailure as exc:
         print(f"solver failed: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
+    except (TempfairError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -6,7 +6,7 @@ class TempfairError(Exception):
 
 
 class ValidationError(TempfairError):
-    """Malformed instance, schedule, or allocation data."""
+    """Malformed instance or allocation data."""
 
 
 class BufferViolation(ValidationError):
@@ -23,3 +23,11 @@ class SolverFailure(TempfairError):
     Raised instead of returning a wrong allocation; the message carries
     enough state to reproduce the dead end.
     """
+
+
+class ShareCapExceeded(TempfairError):
+    """Maximin share requested over a pool too large for exact search."""
+
+
+class SearchCapExceeded(TempfairError):
+    """Instance too large for exhaustive existence search."""

@@ -25,14 +25,17 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .errors import TempfairError, ValidationError
-from .model import TemporalAllocation, TemporalInstance, good_key, prefix, validate
+from .errors import ShareCapExceeded, ValidationError
+from .model import (
+    TemporalAllocation,
+    TemporalInstance,
+    good_key,
+    parse_rational,
+    prefix,
+    validate,
+)
 
 Bundles = Sequence[Iterable[str]]
-
-
-class ShareCapExceeded(TempfairError):
-    """Maximin share requested over a pool too large for exact search."""
 
 
 @dataclass(frozen=True)
@@ -47,10 +50,7 @@ class Concept:
         if text in ("tef1", "tefx", "tmms"):
             return cls(text)
         if text.startswith("atefx:"):
-            try:
-                parts = [Fraction(p) for p in text.split(":", 1)[1].split(",")]
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ValidationError(f"bad alpha in {text!r}") from exc
+            parts = [parse_rational(p) for p in text.split(":", 1)[1].split(",")]
             for alpha in parts:
                 if not 0 < alpha <= 1:
                     raise ValidationError(f"alpha must be in (0, 1], got {alpha}")
@@ -255,7 +255,7 @@ def is_mms(instance: TemporalInstance, bundles: Bundles, cap: int | None = 16) -
     return _mms_violation(instance, bundles, cap=cap) is None
 
 
-def prefix_violation(instance, bundles, concept: Concept, cap: int | None = 16):
+def prefix_violation(instance, bundles, concept: Concept):
     """Violation tuple for one prefix, or None; shared by checker and search."""
     if concept.kind == "tef1":
         return _envy_violation(instance, bundles, "ef1")
@@ -265,7 +265,7 @@ def prefix_violation(instance, bundles, concept: Concept, cap: int | None = 16):
         alphas = _alphas(instance, concept.alpha)
         return _envy_violation(instance, bundles, "efx", alphas)
     if concept.kind == "tmms":
-        hit = _mms_violation(instance, bundles, cap=cap)
+        hit = _mms_violation(instance, bundles)
         if hit is None:
             return None
         i, shortfall = hit
@@ -277,7 +277,6 @@ def check_temporal(
     instance: TemporalInstance,
     allocation: TemporalAllocation,
     concept: Concept,
-    cap: int | None = 16,
 ) -> Verdict:
     """Check a fairness concept at every round prefix of an allocation.
 
@@ -287,10 +286,10 @@ def check_temporal(
     those need examining.
     """
     validate(instance, allocation)
-    change_rounds = sorted(set(allocation.schedule.placement.values()))
+    change_rounds = sorted(set(allocation.placement.values()))
     for t in change_rounds:
         bundles = prefix(instance, allocation, t)
-        hit = prefix_violation(instance, bundles, concept, cap=cap)
+        hit = prefix_violation(instance, bundles, concept)
         if hit is not None:
             envious, envied, removed, shortfall = hit
             return Verdict(

@@ -2,9 +2,9 @@
 
 Goods arrive over a horizon of ``T`` rounds.  Every good carries one value
 per agent (exact rationals throughout; floats are rejected at the JSON
-boundary).  A schedule maps each good to the round it is actually handed
-out, which defaults to its arrival round and may be pushed back by at most
-``buffer - 1`` rounds.  An allocation pairs a schedule with an owner map.
+boundary).  An allocation maps each good to the round it is actually
+handed out (its placement, at most ``buffer - 1`` rounds after arrival)
+and to the agent who owns it.
 
 Agents are indexed 1..n in the public API.  Internally bundles are kept as
 tuples indexed 0..n-1; helpers here do the translation.
@@ -20,8 +20,6 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import BufferViolation, ValidationError
 
-Rational = Fraction
-
 
 def good_key(good_id: str) -> tuple[int, str]:
     """Sort key for good ids: length first, then lexicographic.
@@ -32,10 +30,11 @@ def good_key(good_id: str) -> tuple[int, str]:
 
 
 def parse_rational(text) -> Fraction:
-    """Parse a rational from a string like '3' or '2/7'.
+    """Parse a rational from a string like '3', '2/7' or '1.5'.
 
     Ints pass through.  Floats are rejected: exactness is load-bearing for
-    every checker in this package.
+    every checker in this package.  So is exponent notation, because
+    ``Fraction('1e999999999')`` would build the power before any size check.
     """
     if isinstance(text, bool):
         raise ValidationError(f"not a rational value: {text!r}")
@@ -46,6 +45,8 @@ def parse_rational(text) -> Fraction:
             f"float value {text!r} rejected; use a string like '1/3'"
         )
     if isinstance(text, str):
+        if "e" in text or "E" in text:
+            raise ValidationError(f"exponent notation rejected: {text!r}")
         try:
             return Fraction(text.strip())
         except (ValueError, ZeroDivisionError) as exc:
@@ -184,69 +185,15 @@ class TemporalInstance:
 
 
 @dataclass(frozen=True)
-class Schedule:
-    """Maps each good id to the round it is handed out."""
-
-    placement: Mapping[str, int]
-
-    @classmethod
-    def at_arrival(cls, instance: TemporalInstance) -> "Schedule":
-        return cls({g.id: g.arrival for g in instance.goods})
-
-    def round_of(self, good_id: str) -> int:
-        return self.placement[good_id]
-
-
-def apply_delay(
-    instance: TemporalInstance,
-    schedule: Schedule,
-    good_id: str,
-    shift: int,
-) -> Schedule:
-    """Return a schedule with one good moved to arrival + shift - 1.
-
-    ``shift`` ranges over 1..buffer; shift == 1 keeps the arrival round.
-    The target round must not pass the horizon.
-    """
-    good = instance.goods_by_id.get(good_id)
-    if good is None:
-        raise ValidationError(f"unknown good {good_id!r}")
-    if shift < 1:
-        raise BufferViolation(f"shift {shift} below 1")
-    if shift > instance.buffer:
-        raise BufferViolation(
-            f"shift {shift} exceeds buffer {instance.buffer}"
-        )
-    target = good.arrival + shift - 1
-    if target > instance.horizon:
-        raise BufferViolation(
-            f"good {good_id!r} would be placed at round {target}, "
-            f"past horizon {instance.horizon}"
-        )
-    new_placement = dict(schedule.placement)
-    new_placement[good_id] = target
-    return Schedule(new_placement)
-
-
-@dataclass(frozen=True)
 class TemporalAllocation:
     """A full outcome: when each good is handed out and to whom.
 
-    ``owner`` maps good id to a 1-based agent index.
+    ``placement`` maps good id to the round it is handed out; ``owner``
+    maps good id to a 1-based agent index.
     """
 
-    schedule: Schedule
+    placement: Mapping[str, int]
     owner: Mapping[str, int]
-
-    def bundles_at(
-        self, instance: TemporalInstance, t: int
-    ) -> tuple[frozenset[str], ...]:
-        return prefix(instance, self, t)
-
-    def final_bundles(
-        self, instance: TemporalInstance
-    ) -> tuple[frozenset[str], ...]:
-        return prefix(instance, self, instance.horizon)
 
 
 def prefix(
@@ -264,7 +211,7 @@ def prefix(
         )
     bundles: list[set[str]] = [set() for _ in range(instance.n_agents)]
     for gid, agent in allocation.owner.items():
-        if allocation.schedule.round_of(gid) <= t:
+        if allocation.placement[gid] <= t:
             bundles[agent - 1].add(gid)
     return tuple(frozenset(b) for b in bundles)
 
@@ -286,7 +233,7 @@ def validate(instance: TemporalInstance, allocation: TemporalAllocation) -> None
     for gid, agent in allocation.owner.items():
         if not 1 <= agent <= instance.n_agents:
             raise ValidationError(f"good {gid!r} owned by invalid agent {agent}")
-        placed = allocation.schedule.placement.get(gid)
+        placed = allocation.placement.get(gid)
         if placed is None:
             raise ValidationError(f"good {gid!r} has no placement round")
         arrival = instance.goods_by_id[gid].arrival
@@ -389,6 +336,13 @@ def instance_to_json(instance: TemporalInstance) -> dict:
     }
 
 
+def _json_int(value, what: str) -> int:
+    """An int read from JSON; bools are ints in Python but not here."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def instance_from_json(data: dict) -> TemporalInstance:
     try:
         n = data["agents"]
@@ -396,11 +350,12 @@ def instance_from_json(data: dict) -> TemporalInstance:
         values = data["values"]
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"instance JSON missing field: {exc}") from exc
-    if not isinstance(n, int):
-        raise ValidationError("'agents' must be an integer")
-    buffer = data.get("buffer", 1)
-    if not isinstance(buffer, int):
-        raise ValidationError("'buffer' must be an integer")
+    n = _json_int(n, "'agents'")
+    buffer = _json_int(data.get("buffer", 1), "'buffer'")
+    if not isinstance(rounds, list):
+        raise ValidationError("'rounds' must be a list of rounds")
+    if not isinstance(values, dict):
+        raise ValidationError("'values' must map good ids to value vectors")
     goods = []
     seen = set()
     for t, round_ids in enumerate(rounds, start=1):
@@ -412,6 +367,8 @@ def instance_from_json(data: dict) -> TemporalInstance:
             if gid not in values:
                 raise ValidationError(f"good {gid!r} has no value vector")
             vec = values[gid]
+            if not isinstance(vec, list):
+                raise ValidationError(f"value vector of {gid!r} is not a list")
             goods.append(
                 Good(
                     id=gid,
@@ -433,7 +390,7 @@ def instance_from_json(data: dict) -> TemporalInstance:
 def allocation_to_json(allocation: TemporalAllocation) -> dict:
     return {
         "placement": dict(sorted(
-            allocation.schedule.placement.items(), key=lambda kv: good_key(kv[0])
+            allocation.placement.items(), key=lambda kv: good_key(kv[0])
         )),
         "owner": dict(sorted(
             allocation.owner.items(), key=lambda kv: good_key(kv[0])
@@ -447,15 +404,14 @@ def allocation_from_json(data: dict) -> TemporalAllocation:
         owner = data["owner"]
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"allocation JSON missing field: {exc}") from exc
-    for gid, t in placement.items():
-        if not isinstance(t, int):
-            raise ValidationError(f"placement of {gid!r} is not an integer")
-    for gid, agent in owner.items():
-        if not isinstance(agent, int):
-            raise ValidationError(f"owner of {gid!r} is not an integer")
+    for field, mapping in (("placement", placement), ("owner", owner)):
+        if not isinstance(mapping, dict):
+            raise ValidationError(f"'{field}' must map good ids to integers")
+        for gid, value in mapping.items():
+            _json_int(value, f"{field} of {gid!r}")
     if set(placement) != set(owner):
         raise ValidationError("placement and owner cover different goods")
-    return TemporalAllocation(schedule=Schedule(dict(placement)), owner=dict(owner))
+    return TemporalAllocation(placement=dict(placement), owner=dict(owner))
 
 
 def load_instance(path) -> TemporalInstance:

@@ -13,13 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 
-from .errors import TempfairError
+from .errors import SearchCapExceeded
 from .fairness import Concept, prefix_violation
-from .model import Schedule, TemporalAllocation, TemporalInstance, good_key
-
-
-class SearchCapExceeded(TempfairError):
-    """Instance too large for exhaustive existence search."""
+from .model import TemporalAllocation, TemporalInstance, good_key
 
 
 # 3^14 assignments is the reference budget; caps for other agent counts
@@ -71,7 +67,6 @@ def search(
     instance: TemporalInstance,
     concept: Concept,
     use_scheduling: bool = False,
-    share_cap: int | None = 16,
 ) -> SearchOutcome:
     """Decide whether any allocation satisfies the concept at every prefix.
 
@@ -126,7 +121,7 @@ def search(
             frozenset(g for g, r in placed.items() if r <= t and owner[g] == i)
             for i in instance.agents
         ]
-        return prefix_violation(instance, bundles, concept, cap=share_cap) is None
+        return prefix_violation(instance, bundles, concept) is None
 
     def spans_ok(k: int) -> bool:
         span = span_after[k]
@@ -159,8 +154,6 @@ def search(
         return False
 
     if descend(0):
-        witness = TemporalAllocation(
-            owner=dict(owner), schedule=Schedule(placement=dict(placed))
-        )
+        witness = TemporalAllocation(placement=dict(placed), owner=dict(owner))
         return SearchOutcome(True, witness, nodes, space_bound)
     return SearchOutcome(False, None, nodes, space_bound)

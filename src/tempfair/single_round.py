@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .errors import SolverFailure, ValidationError
+from .errors import ValidationError
 from .model import good_key
 
 ValueTable = Mapping[int, Mapping[str, Fraction]]
@@ -34,22 +34,19 @@ def round_robin(
     values: ValueTable,
     order: Sequence[int],
     trace: list | None = None,
-    bundles: dict[int, list[str]] | None = None,
 ) -> dict[int, list[str]]:
     """Agents pick in cyclic order; each takes their best remaining good.
 
     ``order`` fixes the cycle (it need not be sorted; reversing it gives the
-    mirrored pass used by the two-pool schedulers).  Passing ``bundles``
-    continues an existing partial allocation in place.
+    mirrored pass used by the two-pool schedulers).
     """
-    if bundles is None:
-        bundles = {i: [] for i in order}
+    bundles: dict[int, list[str]] = {i: [] for i in order}
     remaining = set(goods)
     step = 0
     while remaining:
         agent = order[step % len(order)]
         g = _best_good(values, agent, remaining)
-        bundles.setdefault(agent, []).append(g)
+        bundles[agent].append(g)
         remaining.discard(g)
         if trace is not None:
             trace.append({"step": len(trace) + 1, "agent": agent, "good": g, "rule": "rr"})
@@ -130,7 +127,6 @@ def envy_cycle_elimination(
     agents: Sequence[int],
     pick_rule: str = "sequence",
     trace: list | None = None,
-    bundles: dict[int, list[str]] | None = None,
 ) -> dict[int, list[str]]:
     """Give each next good to an agent nobody envies, rotating cycles away.
 
@@ -142,8 +138,7 @@ def envy_cycle_elimination(
     """
     if pick_rule not in ("sequence", "max"):
         raise ValidationError(f"unknown pick rule {pick_rule!r}")
-    if bundles is None:
-        bundles = {i: [] for i in agents}
+    bundles: dict[int, list[str]] = {i: [] for i in agents}
     remaining = sorted(goods, key=good_key)
     while remaining:
         _decycle(values, bundles, agents)
@@ -164,95 +159,6 @@ def envy_cycle_elimination(
                 "rule": f"ece-{pick_rule}",
             })
     _decycle(values, bundles, agents)
-    return bundles
-
-
-def _completion_exists(
-    supply: dict, owned: dict[int, set], quota: dict[int, int], agents: Sequence[int]
-) -> bool:
-    """Can the remaining copies fill the remaining pick slots?
-
-    Each agent still needs ``quota[i]`` goods, one per class at most, from
-    classes they do not own yet.  Existence of such an assignment reduces to
-    a Hall condition over agent subsets (n is small here).
-    """
-    need_total = sum(quota.values())
-    have_total = sum(supply.values())
-    if need_total != have_total:
-        return False
-    agents = list(agents)
-    n = len(agents)
-    for mask in range(1, 1 << n):
-        subset = [agents[k] for k in range(n) if mask >> k & 1]
-        need = sum(quota[i] for i in subset)
-        cover = 0
-        for cls, count in supply.items():
-            if count == 0:
-                continue
-            takers = sum(1 for i in subset if cls not in owned[i])
-            cover += min(count, takers)
-        if need > cover:
-            return False
-    return True
-
-
-def constrained_round_robin(
-    goods: Iterable[str],
-    copy_class: Mapping[str, object],
-    values: ValueTable,
-    order: Sequence[int],
-    trace: list | None = None,
-) -> dict[int, list[str]]:
-    """Round robin where nobody may take two goods of the same copy class.
-
-    Each agent in cyclic order picks their best remaining good among the
-    classes they do not own yet, skipping choices that would strand the
-    remaining picks without a completion (checked by a Hall condition on
-    the leftover supply).  Raises when no completion exists at all.
-    """
-    goods = sorted(goods, key=good_key)
-    by_class: dict[object, list[str]] = {}
-    for g in goods:
-        by_class.setdefault(copy_class[g], []).append(g)
-    supply = {cls: len(members) for cls, members in by_class.items()}
-    next_copy = {cls: 0 for cls in by_class}
-    owned: dict[int, set] = {i: set() for i in order}
-    bundles: dict[int, list[str]] = {i: [] for i in order}
-    m = len(goods)
-    n = len(order)
-    quota = {i: 0 for i in order}
-    for step in range(m):
-        quota[order[step % n]] += 1
-
-    for step in range(m):
-        agent = order[step % n]
-        quota[agent] -= 1
-        candidates = sorted(
-            (cls for cls in supply if supply[cls] > 0 and cls not in owned[agent]),
-            key=lambda cls: (
-                -values[agent][by_class[cls][0]],
-                good_key(by_class[cls][0]),
-            ),
-        )
-        chosen = None
-        for cls in candidates:
-            supply[cls] -= 1
-            owned[agent].add(cls)
-            if _completion_exists(supply, owned, quota, order):
-                chosen = cls
-                break
-            supply[cls] += 1
-            owned[agent].remove(cls)
-        if chosen is None:
-            raise SolverFailure(
-                f"no completion after {step} picks; supply {supply}, "
-                f"owned {dict(owned)}"
-            )
-        g = by_class[chosen][next_copy[chosen]]
-        next_copy[chosen] += 1
-        bundles[agent].append(g)
-        if trace is not None:
-            trace.append({"step": len(trace) + 1, "agent": agent, "good": g, "rule": "rr-distinct"})
     return bundles
 
 

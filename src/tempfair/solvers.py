@@ -20,7 +20,6 @@ from typing import Callable, Sequence
 from .errors import PreconditionError, SolverFailure
 from .fairness import Concept, mms_share
 from .model import (
-    Schedule,
     TemporalAllocation,
     TemporalInstance,
     classify,
@@ -28,6 +27,7 @@ from .model import (
     validate,
 )
 from .single_round import (
+    _best_good,
     envy_cycle_elimination,
     envy_ordered_pick_rounds,
     round_robin,
@@ -41,10 +41,8 @@ def _require(condition: bool, message: str) -> None:
 
 def _allocation(instance, owner, placement=None):
     if placement is None:
-        schedule = Schedule.at_arrival(instance)
-    else:
-        schedule = Schedule(dict(placement))
-    alloc = TemporalAllocation(schedule=schedule, owner=dict(owner))
+        placement = {g.id: g.arrival for g in instance.goods}
+    alloc = TemporalAllocation(placement=dict(placement), owner=dict(owner))
     validate(instance, alloc)
     return alloc
 
@@ -57,6 +55,14 @@ def _owners_from_bundles(bundles: dict[int, list[str]]) -> dict[str, int]:
     return owner
 
 
+def _by_vector(instance, day_ids: Sequence[str]) -> dict[tuple, list[str]]:
+    """Goods of one day grouped by value vector, each group in id order."""
+    groups: dict[tuple, list[str]] = {}
+    for gid in sorted(day_ids, key=good_key):
+        groups.setdefault(instance.goods_by_id[gid].values, []).append(gid)
+    return groups
+
+
 def _day_slots(instance, day_ids: Sequence[str]) -> dict[str, tuple]:
     """Copy-slot key for each good of one day.
 
@@ -65,14 +71,11 @@ def _day_slots(instance, day_ids: Sequence[str]) -> dict[str, tuple]:
     that each slot appears exactly once per day.  Slot keys are therefore
     comparable across days of an identical-days instance.
     """
-    groups: dict[tuple, list[str]] = {}
-    for gid in sorted(day_ids, key=good_key):
-        groups.setdefault(instance.goods_by_id[gid].values, []).append(gid)
-    slots = {}
-    for vec, members in groups.items():
-        for idx, gid in enumerate(members):
-            slots[gid] = (vec, idx)
-    return slots
+    return {
+        gid: (vec, idx)
+        for vec, members in _by_vector(instance, day_ids).items()
+        for idx, gid in enumerate(members)
+    }
 
 
 def _pool_slots(instance, days: Sequence[Sequence[str]]) -> dict[str, tuple]:
@@ -492,10 +495,7 @@ def solve_rr_bivalued(instance: TemporalInstance, trace=None) -> TemporalAllocat
         pool = set(round_ids)
         while pool:
             agent = pointer % n + 1
-            top = max(values[agent][g] for g in pool)
-            g = min(
-                (g for g in pool if values[agent][g] == top), key=good_key
-            )
+            g = _best_good(values, agent, pool)
             owner[g] = agent
             pool.discard(g)
             pointer += 1
@@ -806,12 +806,7 @@ def _search_window(instance):
     """
     T = instance.horizon
     reach = min(instance.buffer, T) - 1  # the most rounds a good can wait
-    day_ids: list[dict[tuple, list[str]]] = []
-    for round_ids in instance.rounds:
-        groups: dict[tuple, list[str]] = {}
-        for g in sorted(round_ids, key=good_key):
-            groups.setdefault(instance.goods_by_id[g].values, []).append(g)
-        day_ids.append(groups)
+    day_ids = [_by_vector(instance, round_ids) for round_ids in instance.rounds]
     vecs = sorted(day_ids[0])
     count = [len(day_ids[0][v]) for v in vecs]
 
@@ -993,7 +988,8 @@ SOLVERS: dict[str, SolverEntry] = {
         SolverEntry(
             name="tefx-identical-days-scheduled-two",
             run=solve_tefx_identical_days_scheduled_two,
-            summary="2 agents, identical days, buffer >= 2; envy-free up to any good and maximin-share fair",
+            summary="2 agents, identical days, buffer >= 2; envy-free up to any good and maximin-share fair "
+                    "when such an allocation exists (some odd horizons have none, and the solver then fails)",
             uses_scheduling=True,
             concepts=_fixed(Concept("tefx"), Concept("tmms")),
         ),

@@ -28,7 +28,6 @@ from tempfair.fairness import (
 )
 from tempfair.generators import generate
 from tempfair.model import (
-    Schedule,
     TemporalAllocation,
     TemporalInstance,
     prefix,
@@ -299,7 +298,7 @@ def split_instance(value_pairs, split):
     return instance, bundles
 
 
-def test_criterion_7_efx_implies_mms_two_agents():
+def test_criterion_7_efx_two_thirds_mms_two_agents():
     """Strong EFX does not imply MMS for two agents; what holds is:
 
     (i) every EFX split gives each agent at least 2/3 of their maximin
@@ -399,7 +398,9 @@ def test_criterion_8_zero_good_monotonicity():
         ]
         instance = TemporalInstance.from_value_rounds(value_rounds)
         owner = {g.id: rng.randint(1, n) for g in instance.goods}
-        allocation = TemporalAllocation(Schedule.at_arrival(instance), owner)
+        allocation = TemporalAllocation(
+            {g.id: g.arrival for g in instance.goods}, owner
+        )
         if check_temporal(instance, allocation, tefx).holds:
             continue
         states += 1
@@ -416,7 +417,7 @@ def test_criterion_8_zero_good_monotonicity():
                 new_owner = dict(owner)
                 new_owner[new_good] = recipient
                 new_alloc = TemporalAllocation(
-                    Schedule.at_arrival(bigger), new_owner
+                    {g.id: g.arrival for g in bigger.goods}, new_owner
                 )
                 if check_temporal(bigger, new_alloc, tefx).holds:
                     flipped.append((states, recipient, extra_round))

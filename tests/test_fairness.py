@@ -25,7 +25,7 @@ from tempfair.fairness import (
     mms_share,
     prefix_violation,
 )
-from tempfair.model import Schedule, TemporalAllocation, TemporalInstance, prefix
+from tempfair.model import TemporalAllocation, TemporalInstance, prefix
 
 from oracles import (
     naive_alpha_efx,
@@ -38,6 +38,10 @@ from oracles import (
 
 def make_instance(value_rounds, buffer=1):
     return TemporalInstance.from_value_rounds(value_rounds, buffer=buffer)
+
+
+def arrival_placement(inst):
+    return {g.id: g.arrival for g in inst.goods}
 
 
 def enumerate_allocations(goods, n_agents):
@@ -202,7 +206,8 @@ class TestConcept:
         assert str(c) == "atefx:1/2,2/3"
 
     @pytest.mark.parametrize(
-        "bad", ["atefx:0", "atefx:3/2", "atefx:x", "atefx:", "efx", "tef2"]
+        "bad", ["atefx:0", "atefx:3/2", "atefx:x", "atefx:", "efx", "tef2",
+                "atefx:1e999999999"]
     )
     def test_rejects_bad_text(self, bad):
         with pytest.raises(ValidationError):
@@ -219,7 +224,7 @@ class TestCheckTemporal:
             [(2, 2)],
         ])
         alloc = TemporalAllocation(
-            schedule=Schedule.at_arrival(inst),
+            placement=arrival_placement(inst),
             owner={"g1": 1, "g2": 2, "g3": 1},
         )
         verdict = check_temporal(inst, alloc, Concept("tef1"))
@@ -233,7 +238,7 @@ class TestCheckTemporal:
     def test_holds_overall(self):
         inst = make_instance([[(1, 2), (3, 1)]])
         alloc = TemporalAllocation(
-            schedule=Schedule.at_arrival(inst),
+            placement=arrival_placement(inst),
             owner={"g1": 2, "g2": 1},
         )
         verdict = check_temporal(inst, alloc, Concept("tef1"))
@@ -245,7 +250,7 @@ class TestCheckTemporal:
         # until round 2, so the prefix at round 1 is all-empty
         inst = make_instance([[(5, 5)], [(5, 5)]], buffer=2)
         alloc = TemporalAllocation(
-            schedule=Schedule({"g1": 2, "g2": 2}),
+            placement={"g1": 2, "g2": 2},
             owner={"g1": 1, "g2": 2},
         )
         verdict = check_temporal(inst, alloc, Concept("tefx"))
@@ -256,18 +261,18 @@ class TestCheckTemporal:
         inst = make_instance([[(2, 2), (2, 2)], [(4, 4)]], buffer=2)
         owner = {"g1": 1, "g2": 1, "g3": 2}
         at_arrival = TemporalAllocation(
-            schedule=Schedule.at_arrival(inst), owner=owner
+            placement=arrival_placement(inst), owner=owner
         )
         assert not check_temporal(inst, at_arrival, Concept("tefx")).holds
         delayed = TemporalAllocation(
-            schedule=Schedule({"g1": 1, "g2": 2, "g3": 2}), owner=owner
+            placement={"g1": 1, "g2": 2, "g3": 2}, owner=owner
         )
         assert check_temporal(inst, delayed, Concept("tefx")).holds
 
     def test_tmms_verdict(self):
         inst = make_instance([[(3, 3), (3, 3)]])
         alloc = TemporalAllocation(
-            schedule=Schedule.at_arrival(inst),
+            placement=arrival_placement(inst),
             owner={"g1": 1, "g2": 1},
         )
         verdict = check_temporal(inst, alloc, Concept("tmms"))
@@ -279,7 +284,7 @@ class TestCheckTemporal:
     def test_alpha_concept(self):
         inst = make_instance([[(1, 1), (1, 1), (4, 4)]])
         alloc = TemporalAllocation(
-            schedule=Schedule.at_arrival(inst),
+            placement=arrival_placement(inst),
             owner={"g1": 1, "g2": 2, "g3": 2},
         )
         # agent 1 holds 1 against 5; dropping the cheap good leaves 4
@@ -289,7 +294,7 @@ class TestCheckTemporal:
     def test_rejects_invalid_allocation(self):
         inst = make_instance([[(1, 1), (2, 2)]])
         alloc = TemporalAllocation(
-            schedule=Schedule({"g1": 1}),
+            placement={"g1": 1},
             owner={"g1": 1},
         )
         with pytest.raises(ValidationError):
@@ -312,7 +317,7 @@ class TestCheckTemporal:
                 g.id: rng.randint(1, n_agents) for g in inst.goods
             }
             alloc = TemporalAllocation(
-                schedule=Schedule.at_arrival(inst), owner=owner
+                placement=arrival_placement(inst), owner=owner
             )
             concept = rng.choice(
                 [Concept("tef1"), Concept("tefx"), Concept("atefx", F(1, 2))]

@@ -1,6 +1,7 @@
 """Instance and allocation plumbing: construction, validation, JSON."""
 
 import json
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -8,12 +9,10 @@ import pytest
 from tempfair.errors import BufferViolation, ValidationError
 from tempfair.model import (
     Good,
-    Schedule,
     TemporalAllocation,
     TemporalInstance,
     allocation_from_json,
     allocation_to_json,
-    apply_delay,
     classify,
     good_key,
     instance_from_json,
@@ -39,6 +38,7 @@ class TestParseRational:
         assert parse_rational(3) == F(3)
         assert parse_rational("3") == F(3)
         assert parse_rational("7/2") == F(7, 2)
+        assert parse_rational("1.5") == F(3, 2)
 
     @pytest.mark.parametrize("bad", [3.5, True, False, None, [1]])
     def test_rejects_non_rationals(self, bad):
@@ -48,6 +48,15 @@ class TestParseRational:
     def test_rejects_bad_literal(self):
         with pytest.raises(ValidationError):
             parse_rational("three")
+
+    def test_rejects_exponent_notation(self):
+        # Fraction would build 10**999999999 before any size check
+        start = time.perf_counter()
+        with pytest.raises(ValidationError):
+            parse_rational("1e999999999")
+        assert time.perf_counter() - start < 1
+        with pytest.raises(ValidationError):
+            parse_rational("2E3")
 
 
 class TestInstanceConstruction:
@@ -108,50 +117,11 @@ class TestInstanceConstruction:
             make_instance([[(1,)]], buffer=0)
 
 
-class TestScheduling:
-    def test_at_arrival(self):
-        inst = make_instance([[(1, 1)], [(2, 2)]])
-        sched = Schedule.at_arrival(inst)
-        assert sched.round_of("g1") == 1
-        assert sched.round_of("g2") == 2
-
-    def test_delay_moves_by_shift_minus_one(self):
-        inst = make_instance([[(1, 1)], [(2, 2)], [(3, 3)]], buffer=3)
-        sched = Schedule.at_arrival(inst)
-        moved = apply_delay(inst, sched, "g1", 3)
-        assert moved.round_of("g1") == 3
-        # original schedule untouched
-        assert sched.round_of("g1") == 1
-
-    def test_shift_one_is_identity(self):
-        inst = make_instance([[(1, 1)]], buffer=2)
-        sched = apply_delay(inst, Schedule.at_arrival(inst), "g1", 1)
-        assert sched.round_of("g1") == 1
-
-    def test_shift_beyond_buffer_rejected(self):
-        inst = make_instance([[(1, 1)], [(2, 2)]], buffer=1)
-        with pytest.raises(BufferViolation):
-            apply_delay(inst, Schedule.at_arrival(inst), "g1", 2)
-
-    def test_shift_beyond_horizon_rejected(self):
-        inst = make_instance([[(1, 1)], [(2, 2)]], buffer=5)
-        with pytest.raises(BufferViolation):
-            apply_delay(inst, Schedule.at_arrival(inst), "g2", 2)
-
-    def test_unknown_good_rejected(self):
-        inst = make_instance([[(1, 1)]])
-        with pytest.raises(ValidationError):
-            apply_delay(inst, Schedule.at_arrival(inst), "nope", 1)
-
-
 class TestPrefixAndValidate:
     def make_alloc(self, inst, owner, placement=None):
-        sched = (
-            Schedule.at_arrival(inst)
-            if placement is None
-            else Schedule(placement)
-        )
-        return TemporalAllocation(schedule=sched, owner=owner)
+        if placement is None:
+            placement = {g.id: g.arrival for g in inst.goods}
+        return TemporalAllocation(placement=placement, owner=owner)
 
     def test_prefix_accumulates(self):
         inst = make_instance([[(1, 1), (2, 2)], [(3, 3)]])
@@ -205,14 +175,18 @@ class TestPrefixAndValidate:
             validate(inst, alloc)
 
     def test_validate_rejects_placement_beyond_buffer(self):
-        inst = make_instance([[(1, 1)], [(2, 2)], [(3, 3)]], buffer=1)
-        alloc = self.make_alloc(
-            inst,
-            {"g1": 1, "g2": 1, "g3": 1},
-            placement={"g1": 2, "g2": 2, "g3": 3},
-        )
-        with pytest.raises(BufferViolation):
-            validate(inst, alloc)
+        cases = [
+            # past the buffer window
+            ([[(1, 1)], [(2, 2)], [(3, 3)]], 1, {"g1": 2, "g2": 2, "g3": 3}),
+            # inside the window but past the horizon
+            ([[(1, 1)], [(2, 2)]], 5, {"g1": 1, "g2": 3}),
+        ]
+        for value_rounds, buffer, placement in cases:
+            inst = make_instance(value_rounds, buffer=buffer)
+            owner = {gid: 1 for gid in placement}
+            alloc = self.make_alloc(inst, owner, placement=placement)
+            with pytest.raises(BufferViolation):
+                validate(inst, alloc)
 
 
 class TestClassify:
@@ -336,15 +310,49 @@ class TestJson:
     def test_allocation_round_trip(self):
         inst = make_instance([[(1, 1)], [(2, 2)]], buffer=2)
         alloc = TemporalAllocation(
-            schedule=Schedule({"g1": 2, "g2": 2}),
+            placement={"g1": 2, "g2": 2},
             owner={"g1": 1, "g2": 2},
         )
         data = allocation_to_json(alloc)
         again = allocation_from_json(json.loads(json.dumps(data)))
-        assert again.schedule.placement == {"g1": 2, "g2": 2}
+        assert again.placement == {"g1": 2, "g2": 2}
         assert again.owner == {"g1": 1, "g2": 2}
 
     def test_allocation_rejects_mismatched_keys(self):
         data = {"placement": {"g1": 1}, "owner": {"g2": 1}}
         with pytest.raises(ValidationError):
             allocation_from_json(data)
+
+
+def _instance_json(**changes):
+    data = {"agents": 2, "buffer": 1, "rounds": [["g1"]],
+            "values": {"g1": ["1", "2"]}}
+    data.update(changes)
+    return data
+
+
+def _allocation_json(**changes):
+    data = {"placement": {"g1": 1}, "owner": {"g1": 1}}
+    data.update(changes)
+    return data
+
+
+@pytest.mark.parametrize("load, data", [
+    (instance_from_json, _instance_json(values={"g1": "12"})),
+    (instance_from_json, _instance_json(values={"g1": 5})),
+    (instance_from_json, _instance_json(values=["g1"])),
+    (instance_from_json, _instance_json(agents=True, values={"g1": ["1"]})),
+    (instance_from_json, _instance_json(buffer=True)),
+    (instance_from_json, _instance_json(rounds=3)),
+    (allocation_from_json, _allocation_json(placement=[1])),
+    (allocation_from_json, _allocation_json(owner=[1])),
+    (allocation_from_json, _allocation_json(placement={"g1": True})),
+    (allocation_from_json, _allocation_json(owner={"g1": True})),
+], ids=[
+    "vector-string", "vector-int", "values-list", "agents-bool",
+    "buffer-bool", "rounds-int", "placement-list", "owner-list",
+    "placement-bool", "owner-bool",
+])
+def test_loaders_reject_malformed_shapes(load, data):
+    with pytest.raises(ValidationError):
+        load(data)

@@ -8,7 +8,6 @@ import pytest
 
 from tempfair import (
     Concept,
-    Schedule,
     SearchCapExceeded,
     TemporalAllocation,
     TemporalInstance,
@@ -33,7 +32,7 @@ def exhaustive_exists(instance, concept, use_scheduling=False):
     for combo in itertools.product(*windows):
         owner = {g.id: i for g, (t, i) in zip(goods, combo)}
         placement = {g.id: t for g, (t, i) in zip(goods, combo)}
-        alloc = TemporalAllocation(owner=owner, schedule=Schedule(placement))
+        alloc = TemporalAllocation(placement=placement, owner=owner)
         verdict = check_temporal(instance, alloc, concept)
         if verdict.holds:
             return True, alloc
@@ -102,8 +101,8 @@ def test_first_witness_matches_unpruned_order():
         assert out.exists == expected
         if expected:
             assert dict(out.witness.owner) == dict(witness.owner)
-            assert dict(out.witness.schedule.placement) == dict(
-                witness.schedule.placement
+            assert dict(out.witness.placement) == dict(
+                witness.placement
             )
 
 
@@ -128,7 +127,7 @@ def test_scheduling_strictly_helps_on_trap_stream():
     assert not plain.exists
     assert scheduled.exists
     assert check_temporal(inst, scheduled.witness, Concept("tefx")).holds
-    moved = [g for g, t in scheduled.witness.schedule.placement.items()
+    moved = [g for g, t in scheduled.witness.placement.items()
              if t != inst.goods_by_id[g].arrival]
     assert moved, "the rescue needs at least one delayed good"
 

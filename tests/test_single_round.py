@@ -7,7 +7,6 @@ import pytest
 
 from tempfair.errors import ValidationError
 from tempfair.single_round import (
-    constrained_round_robin,
     envy_cycle_elimination,
     envy_ordered_pick_rounds,
     round_robin,
@@ -46,13 +45,6 @@ class TestRoundRobin:
         trace = []
         round_robin(["a"], values, order=[2, 1], trace=trace)
         assert trace == [{"step": 1, "agent": 2, "good": "a", "rule": "rr"}]
-
-    def test_continues_existing_bundles(self):
-        values = table({1: {"a": 1, "b": 9}, 2: {"a": 1, "b": 1}})
-        got = round_robin(
-            ["b"], values, order=[1, 2], bundles={1: ["a"], 2: []}
-        )
-        assert got == {1: ["a", "b"], 2: []}
 
     def test_ef1_from_scratch(self):
         rng = random.Random(3)
@@ -109,59 +101,6 @@ class TestEnvyCycleElimination:
         # everything is allocated exactly once
         handed = sorted(g for b in got.values() for g in b)
         assert handed == ["a", "b", "c"]
-
-
-def slot_classes(spec):
-    """spec: {class_label: (members, per-agent value)} -> helper tables."""
-    copy_class = {}
-    for label, (members, _) in spec.items():
-        for m in members:
-            copy_class[m] = label
-    return copy_class
-
-
-class TestConstrainedRoundRobin:
-    def test_spreads_copies_across_agents(self):
-        # two classes with two copies each, four agents
-        values = table({
-            i: {"a1": 4, "a2": 4, "b1": 1, "b2": 1} for i in (1, 2, 3, 4)
-        })
-        copy_class = {"a1": "A", "a2": "A", "b1": "B", "b2": "B"}
-        got = constrained_round_robin(
-            ["a1", "a2", "b1", "b2"], copy_class, values, order=[1, 2, 3, 4]
-        )
-        for agent, bundle in got.items():
-            classes = [copy_class[g] for g in bundle]
-            assert len(classes) == len(set(classes)), got
-
-    def test_never_hands_agent_two_copies(self):
-        rng = random.Random(29)
-        for _ in range(200):
-            n = rng.randint(2, 4)
-            agents = list(range(1, n + 1))
-            copies = (n + 1) // 2
-            n_classes = rng.randint(1, 4)
-            goods = []
-            copy_class = {}
-            class_value = {}
-            for c in range(n_classes):
-                class_value[c] = [F(rng.randint(0, 6)) for _ in agents]
-                for k in range(copies):
-                    gid = f"c{c}k{k}"
-                    goods.append(gid)
-                    copy_class[gid] = c
-            values = {
-                i: {g: class_value[copy_class[g]][i - 1] for g in goods}
-                for i in agents
-            }
-            got = constrained_round_robin(
-                goods, copy_class, values, order=agents
-            )
-            handed = sorted(g for b in got.values() for g in b)
-            assert handed == sorted(goods)
-            for agent, bundle in got.items():
-                classes = [copy_class[g] for g in bundle]
-                assert len(classes) == len(set(classes)), (values, got)
 
 
 class TestEnvyOrderedPickRounds:

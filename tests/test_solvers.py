@@ -191,7 +191,7 @@ def test_deterministic(name):
     instance2 = conforming(name, seed=424242, rng=rng)
     second = SOLVERS[name].run(instance2)
     assert first.owner == second.owner
-    assert first.schedule.placement == second.schedule.placement
+    assert first.placement == second.placement
 
 
 class TestHouseT3Structure:
@@ -201,7 +201,7 @@ class TestHouseT3Structure:
         alloc = certify("tef1-house-t3", instance)
         for t in range(1, 4):
             placed = [
-                g for g, r in alloc.schedule.placement.items() if r == t
+                g for g, r in alloc.placement.items() if r == t
             ]
             owners = sorted(alloc.owner[g] for g in placed)
             assert owners == [1, 2, 3], alloc
@@ -210,7 +210,7 @@ class TestHouseT3Structure:
         day = [(2, 7), (7, 2)]
         instance = make_instance([day] * 3)
         alloc = certify("tef1-house-t3", instance)
-        for g, r in alloc.schedule.placement.items():
+        for g, r in alloc.placement.items():
             assert r == instance.goods_by_id[g].arrival
 
 
@@ -268,7 +268,7 @@ class TestScheduledTwoAgents:
         instance = make_instance([day] * 5, buffer=2)
         alloc = certify("tefx-identical-days-scheduled-two", instance)
         pooled_rounds = {1, 3, 5}
-        assert set(alloc.schedule.placement.values()) - pooled_rounds
+        assert set(alloc.placement.values()) - pooled_rounds
 
     def test_odd_horizon_without_witness_fails_loudly(self):
         # no placement within buffer 2 gives both agents their maximin
@@ -285,7 +285,7 @@ class TestScheduledTwoAgents:
         alloc = certify("tefx-identical-days-scheduled-two", instance)
         waits = {
             r - instance.goods_by_id[g].arrival
-            for g, r in alloc.schedule.placement.items()
+            for g, r in alloc.placement.items()
         }
         assert 2 in waits
 
@@ -301,13 +301,13 @@ class TestScheduledTwoAgents:
         first = certify("tefx-identical-days-scheduled-two", small)
         second = certify("tefx-identical-days-scheduled-two", big)
         assert first.owner == second.owner
-        assert first.schedule.placement == second.schedule.placement
+        assert first.placement == second.placement
 
     def test_two_rounds_without_buffer(self):
         day = [(1, 1), (10, 10)]
         instance = make_instance([day] * 2, buffer=1)
         alloc = certify("tefx-identical-days-scheduled-two", instance)
-        for g, r in alloc.schedule.placement.items():
+        for g, r in alloc.placement.items():
             assert r == instance.goods_by_id[g].arrival
 
 

@@ -89,7 +89,7 @@ def test_trap_rescue_witness_delays_a_good():
     )
     out = search(inst, Concept("tefx"), use_scheduling=True)
     moved = [
-        g for g, t in out.witness.schedule.placement.items()
+        g for g, t in out.witness.placement.items()
         if t != inst.goods_by_id[g].arrival
     ]
     assert moved
