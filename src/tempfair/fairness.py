@@ -20,6 +20,7 @@ in the defining partitions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -173,16 +174,22 @@ def mms_share(values: Sequence[Fraction], n_parts: int, cap: int | None = 16) ->
     """Maximin share of one agent over a pool, split into n_parts bundles.
 
     ``values`` lists the agent's values for every good in the pool.  Parts
-    may be empty.  The two-part case runs an exact subset-sum sweep with no
-    size limit; three or more parts fall back to branch and bound, guarded
-    by ``cap`` on the pool size (None lifts the guard).
+    may be empty.  The search runs on exact integers: zero values are
+    dropped, the rest are multiplied by the LCM of their denominators and
+    divided by the GCD of the results, and the share is scaled back at the
+    end, so pools that differ by one positive factor share a memo entry.
+    Two parts run a subset-sum sweep with no size limit: a bitset of the
+    sums up to half the total, or a set of reachable sums when that bitset
+    would be wide next to the 2**k sums k goods can reach.  Three or more
+    parts run branch and bound, guarded by ``cap`` on the pool size, zero
+    values included (None lifts the guard).  Both stop as soon as a split
+    reaches floor(total / n_parts), which no split can beat.
     """
     if n_parts < 1:
         raise ValidationError("need at least one part")
-    vals = [Fraction(v) for v in values]
-    for v in vals:
-        if v < 0:
-            raise ValidationError("negative value in pool")
+    vals = [v if type(v) is Fraction else Fraction(v) for v in values]
+    if any(v.numerator < 0 for v in vals):
+        raise ValidationError("negative value in pool")
     if n_parts == 1:
         return sum(vals, start=Fraction(0))
     if len(vals) < n_parts:
@@ -191,43 +198,64 @@ def mms_share(values: Sequence[Fraction], n_parts: int, cap: int | None = 16) ->
         raise ShareCapExceeded(
             f"pool of {len(vals)} goods exceeds the exact-search cap {cap}"
         )
+    positive = [v for v in vals if v.numerator]
+    if len(positive) < n_parts:
+        return Fraction(0)
+    lcm = math.lcm(*(v.denominator for v in positive))
+    ints = [v.numerator * (lcm // v.denominator) for v in positive]
+    gcd = math.gcd(*ints)
     # shares recur across prefixes and across allocations of one pool, so
-    # the pure search below is memoized on the sorted pool
-    return _mms_share_search(tuple(sorted(vals, reverse=True)), n_parts)
+    # the pure search below is memoized on the sorted coprime pool
+    key = tuple(sorted((v // gcd for v in ints), reverse=True))
+    return Fraction(_mms_share_search(key, n_parts) * gcd, lcm)
 
 
 @lru_cache(maxsize=4096)
-def _mms_share_search(vals: tuple[Fraction, ...], n_parts: int) -> Fraction:
-    total = sum(vals, start=Fraction(0))
+def _mms_share_search(vals: tuple[int, ...], n_parts: int) -> int:
+    """Maximin share of positive ints, sorted in descending order."""
+    total = sum(vals)
+    bound = total // n_parts  # no part's minimum can exceed this
     if n_parts == 2:
-        sums = {Fraction(0)}
+        # a bitset costs bound/64 words per good, a set up to 2**k sums
+        if bound >> 6 <= 1 << len(vals):
+            mask = (1 << (bound + 1)) - 1
+            reach = 1
+            for v in vals:
+                reach |= (reach << v) & mask
+                if reach >> bound:
+                    return bound
+            return reach.bit_length() - 1
+        sums = {0}
         for v in vals:
-            sums |= {s + v for s in sums}
-        # best split is the reachable sum closest to half from below
-        best = max((s for s in sums if 2 * s <= total), default=Fraction(0))
-        return best
-    vals = list(vals)
-    best = Fraction(0)
-    parts = [Fraction(0)] * n_parts
-    suffix = [Fraction(0)] * (len(vals) + 1)
+            sums |= {s + v for s in sums if s + v <= bound}
+            if bound in sums:
+                return bound
+        return max(sums)
+    best = 0
+    parts = [0] * n_parts
+    suffix = [0] * (len(vals) + 1)
     for k in range(len(vals) - 1, -1, -1):
         suffix[k] = suffix[k + 1] + vals[k]
 
-    def walk(k: int):
+    def walk(k: int) -> bool:
+        """Extend the partial split from good k; True once best hits bound."""
         nonlocal best
         if k == len(vals):
             best = max(best, min(parts))
-            return
+            return best == bound
         if min(parts) + suffix[k] <= best:
-            return  # even funneling everything into the min part cannot win
+            return False  # even funneling everything into the min part cannot win
         seen = set()
         for p in range(n_parts):
             if parts[p] in seen:
                 continue  # identical part loads are interchangeable
             seen.add(parts[p])
             parts[p] += vals[k]
-            walk(k + 1)
+            done = walk(k + 1)
             parts[p] -= vals[k]
+            if done:
+                return True
+        return False
 
     walk(0)
     return best

@@ -220,7 +220,8 @@ def validate(instance: TemporalInstance, allocation: TemporalAllocation) -> None
     """Check an allocation against the instance; raise on any defect.
 
     Every good must be owned by a valid agent and placed inside its delay
-    window, no later than the horizon.
+    window, no later than the horizon; owner and placement may name no
+    other goods.
     """
     owned = set(allocation.owner)
     all_ids = set(instance.goods_by_id)
@@ -230,6 +231,9 @@ def validate(instance: TemporalInstance, allocation: TemporalAllocation) -> None
     extra = owned - all_ids
     if extra:
         raise ValidationError(f"unknown goods in allocation: {sorted(extra, key=good_key)}")
+    stray = set(allocation.placement) - all_ids
+    if stray:
+        raise ValidationError(f"unknown goods in placement: {sorted(stray, key=good_key)}")
     for gid, agent in allocation.owner.items():
         if not 1 <= agent <= instance.n_agents:
             raise ValidationError(f"good {gid!r} owned by invalid agent {agent}")

@@ -8,6 +8,7 @@ agree with them on exhaustively enumerated small allocations.
 
 import itertools
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -178,6 +179,17 @@ class TestMmsShare:
         # and the cap can be lifted
         assert mms_share(vals, 3, cap=None) == F(5)
 
+    def test_wide_two_part_pool_skips_the_bitset(self):
+        # half the total needs about 2**63 bits as a bitset; the 2**18
+        # reachable sums fit a set
+        rng = random.Random(60)
+        vals = [rng.getrandbits(60) | 1 << 59 | 1 for _ in range(18)]
+        expected = naive_mms_share(vals, 2)
+        start = time.perf_counter()
+        got = mms_share([F(v) for v in vals], 2, cap=None)
+        assert time.perf_counter() - start < 1.0
+        assert got == F(expected)
+
     def test_rejects_negative(self):
         with pytest.raises(ValidationError):
             mms_share([F(-1)], 2)
@@ -298,6 +310,16 @@ class TestCheckTemporal:
             owner={"g1": 1},
         )
         with pytest.raises(ValidationError):
+            check_temporal(inst, alloc, Concept("tef1"))
+
+    def test_rejects_placement_of_unknown_good(self):
+        # the stray round must not surface as a prefix-range error
+        inst = make_instance([[(1, 1)], [(2, 2)]])
+        alloc = TemporalAllocation(
+            placement={"g1": 1, "g2": 2, "zz": 9},
+            owner={"g1": 1, "g2": 2},
+        )
+        with pytest.raises(ValidationError, match="unknown goods in placement"):
             check_temporal(inst, alloc, Concept("tef1"))
 
     def test_random_agreement_with_per_round_oracle(self):

@@ -166,6 +166,14 @@ class TestPrefixAndValidate:
         with pytest.raises(ValidationError):
             validate(inst, alloc)
 
+    def test_validate_rejects_placement_of_unknown_good(self):
+        inst = make_instance([[(1, 1)], [(2, 2)]])
+        alloc = self.make_alloc(
+            inst, {"g1": 1, "g2": 2}, placement={"g1": 1, "g2": 2, "zz": 9}
+        )
+        with pytest.raises(ValidationError, match="zz"):
+            validate(inst, alloc)
+
     def test_validate_rejects_placement_before_arrival(self):
         inst = make_instance([[(1, 1)], [(2, 2)]], buffer=2)
         alloc = self.make_alloc(
