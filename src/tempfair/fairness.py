@@ -263,9 +263,7 @@ def _mms_share_search(vals: tuple[int, ...], n_parts: int) -> int:
 
 def _mms_violation(instance, bundles, cap=16):
     """First agent whose bundle misses their maximin share over the pool."""
-    pool = sorted(
-        (gid for b in bundles for gid in b), key=good_key
-    )
+    pool = [gid for b in bundles for gid in b]
     n = instance.n_agents
     for i in instance.agents:
         share = mms_share([instance.value(i, g) for g in pool], n, cap=cap)

@@ -418,19 +418,17 @@ def allocation_from_json(data: dict) -> TemporalAllocation:
     return TemporalAllocation(placement=dict(placement), owner=dict(owner))
 
 
-def load_instance(path) -> TemporalInstance:
+def _read_json(path):
     with open(path) as fh:
         try:
-            data = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"bad JSON in {path}: {exc}") from exc
-    return instance_from_json(data)
+
+
+def load_instance(path) -> TemporalInstance:
+    return instance_from_json(_read_json(path))
 
 
 def load_allocation(path) -> TemporalAllocation:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"bad JSON in {path}: {exc}") from exc
-    return allocation_from_json(data)
+    return allocation_from_json(_read_json(path))

@@ -15,7 +15,7 @@ from math import prod
 
 from .errors import SearchCapExceeded
 from .fairness import Concept, prefix_violation
-from .model import TemporalAllocation, TemporalInstance, good_key
+from .model import TemporalAllocation, TemporalInstance, good_key, prefix
 
 
 # 3^14 assignments is the reference budget; caps for other agent counts
@@ -117,10 +117,7 @@ def search(
     nodes = 0
 
     def prefix_ok(t: int) -> bool:
-        bundles = [
-            frozenset(g for g, r in placed.items() if r <= t and owner[g] == i)
-            for i in instance.agents
-        ]
+        bundles = prefix(instance, TemporalAllocation(placed, owner), t)
         return prefix_violation(instance, bundles, concept) is None
 
     def spans_ok(k: int) -> bool:

@@ -22,6 +22,12 @@ def _bundle_value(values: ValueTable, agent: int, bundle: Iterable[str]) -> Frac
     return sum((values[agent][g] for g in bundle), start=Fraction(0))
 
 
+def _record(trace: list | None, agent: int, good: str, rule: str) -> None:
+    """Append one hand-out to the trace, when one is kept."""
+    if trace is not None:
+        trace.append({"step": len(trace) + 1, "agent": agent, "good": good, "rule": rule})
+
+
 def _best_good(values: ValueTable, agent: int, pool: Iterable[str]) -> str:
     """Max-valued good for an agent, smallest id on ties."""
     pool = list(pool)
@@ -48,8 +54,7 @@ def round_robin(
         g = _best_good(values, agent, remaining)
         bundles[agent].append(g)
         remaining.discard(g)
-        if trace is not None:
-            trace.append({"step": len(trace) + 1, "agent": agent, "good": g, "rule": "rr"})
+        _record(trace, agent, g, "rr")
         step += 1
     return bundles
 
@@ -125,39 +130,26 @@ def envy_cycle_elimination(
     goods: Iterable[str],
     values: ValueTable,
     agents: Sequence[int],
-    pick_rule: str = "sequence",
     trace: list | None = None,
 ) -> dict[int, list[str]]:
     """Give each next good to an agent nobody envies, rotating cycles away.
 
-    With ``pick_rule="sequence"`` goods are handed out in canonical id
-    order.  With ``pick_rule="max"`` the receiving agent takes their own
-    best remaining good instead (the variant that makes the two-identical-
-    agents case envy-free up to any good).  Receivers are the smallest
-    unenvied agent index; the envy graph is rebuilt after every change.
+    The receiver is the smallest unenvied agent index and takes their own
+    best remaining good (the variant that makes the two-identical-agents
+    case envy-free up to any good).  The envy graph is rebuilt after every
+    change.
     """
-    if pick_rule not in ("sequence", "max"):
-        raise ValidationError(f"unknown pick rule {pick_rule!r}")
     bundles: dict[int, list[str]] = {i: [] for i in agents}
-    remaining = sorted(goods, key=good_key)
+    remaining = set(goods)
     while remaining:
         _decycle(values, bundles, agents)
         edges = _envy_edges(values, bundles, agents)
         envied = {j for _, j in edges}
         receiver = min(i for i in agents if i not in envied)
-        if pick_rule == "max":
-            g = _best_good(values, receiver, remaining)
-        else:
-            g = remaining[0]
-        remaining.remove(g)
+        g = _best_good(values, receiver, remaining)
+        remaining.discard(g)
         bundles[receiver].append(g)
-        if trace is not None:
-            trace.append({
-                "step": len(trace) + 1,
-                "agent": receiver,
-                "good": g,
-                "rule": f"ece-{pick_rule}",
-            })
+        _record(trace, receiver, g, "ece-max")
     _decycle(values, bundles, agents)
     return bundles
 
@@ -236,6 +228,5 @@ def envy_ordered_pick_rounds(
         assert len(takers) == len(members), "more copies than agents"
         for g, i in zip(members, takers):
             bundles[i].append(g)
-            if trace is not None:
-                trace.append({"step": len(trace) + 1, "agent": i, "good": g, "rule": "envy-order"})
+            _record(trace, i, g, "envy-order")
     return bundles

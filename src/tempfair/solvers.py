@@ -28,6 +28,8 @@ from .model import (
 )
 from .single_round import (
     _best_good,
+    _bundle_value,
+    _record,
     envy_cycle_elimination,
     envy_ordered_pick_rounds,
     round_robin,
@@ -47,12 +49,14 @@ def _allocation(instance, owner, placement=None):
     return alloc
 
 
-def _owners_from_bundles(bundles: dict[int, list[str]]) -> dict[str, int]:
-    owner = {}
+def _hand_out(bundles: dict[int, list[str]], owner, placement=None, at=None) -> None:
+    """Record each bundle's goods as its agent's, placed at round ``at``
+    when a placement mapping is given."""
     for agent, bundle in bundles.items():
         for g in bundle:
             owner[g] = agent
-    return owner
+            if placement is not None:
+                placement[g] = at
 
 
 def _by_vector(instance, day_ids: Sequence[str]) -> dict[tuple, list[str]]:
@@ -85,6 +89,14 @@ def _pool_slots(instance, days: Sequence[Sequence[str]]) -> dict[str, tuple]:
     return slots
 
 
+def _slot_copies(slots: dict[str, tuple]) -> dict[tuple, list[str]]:
+    """The goods of each slot in id order, slots in order of first good."""
+    copies: dict[tuple, list[str]] = {}
+    for g, slot in slots.items():
+        copies.setdefault(slot, []).append(g)
+    return {slot: sorted(goods, key=good_key) for slot, goods in copies.items()}
+
+
 # --- house shape, three rounds ----------------------------------------------
 
 def solve_tef1_house_t3(instance: TemporalInstance, trace=None) -> TemporalAllocation:
@@ -108,50 +120,35 @@ def solve_tef1_house_t3(instance: TemporalInstance, trace=None) -> TemporalAlloc
     pooled = round_robin(
         list(day1) + list(day2), values, order=list(instance.agents), trace=trace
     )
-    picked_by = _owners_from_bundles(pooled)
+    picked_by: dict[str, int] = {}
+    _hand_out(pooled, picked_by)
 
-    # pair each round-1 good with its value-identical round-2 copy
-    slots1 = _day_slots(instance, day1)
-    slots2 = _day_slots(instance, day2)
-    partner = {}
-    by_slot2 = {slot: gid for gid, slot in slots2.items()}
-    pairs = []
-    for gid, slot in slots1.items():
-        other = by_slot2[slot]
-        partner[gid] = other
-        partner[other] = gid
-        pairs.append((gid, other))
-
-    edges: set[frozenset] = set()
+    # each good has one pick mate (the same agent's other pick) and one
+    # partner (its value-identical copy in the other round), so mate and
+    # partner edges alternate around even cycles; walk each cycle from its
+    # smallest good to 2-color it
+    mate = {}
     for bundle in pooled.values():
         assert len(bundle) == 2, "2n goods over n agents give 2 picks each"
-        edges.add(frozenset(bundle))
-    for o1, o2 in pairs:
-        edges.add(frozenset((o1, o2)))
-
-    adjacency: dict[str, set[str]] = {g: set() for g in partner}
-    for edge in edges:
-        a, b = tuple(edge)
-        adjacency[a].add(b)
-        adjacency[b].add(a)
+        a, b = bundle
+        mate[a], mate[b] = b, a
+    by_slot2 = {slot: gid for gid, slot in _day_slots(instance, day2).items()}
+    partner = {}
+    for gid, slot in _day_slots(instance, day1).items():
+        partner[gid] = by_slot2[slot]
+        partner[by_slot2[slot]] = gid
     color: dict[str, int] = {}
-    for start in sorted(adjacency, key=good_key):
-        if start in color:
-            continue
-        color[start] = 0
-        queue = [start]
-        while queue:
-            u = queue.pop(0)
-            for v in sorted(adjacency[u], key=good_key):
-                if v not in color:
-                    color[v] = 1 - color[u]
-                    queue.append(v)
-                else:
-                    assert color[v] != color[u], "pair/pick graph must be bipartite"
+    for start in sorted(partner, key=good_key):
+        g = start
+        while g not in color:
+            color[g] = 0
+            color[mate[g]] = 1
+            g = partner[mate[g]]
 
     owner = {}
     placement = {}
-    for o1, o2 in pairs:
+    for o1 in day1:
+        o2 = partner[o1]
         early, late = (o1, o2) if color[o1] == 0 else (o2, o1)
         # whoever picked the early-colored copy takes the round-1 arrival
         owner[o1] = picked_by[early]
@@ -162,10 +159,7 @@ def solve_tef1_house_t3(instance: TemporalInstance, trace=None) -> TemporalAlloc
     final = round_robin(
         day3, values, order=list(reversed(list(instance.agents))), trace=trace
     )
-    for agent, bundle in final.items():
-        for g in bundle:
-            owner[g] = agent
-            placement[g] = 3
+    _hand_out(final, owner, placement, 3)
     return _allocation(instance, owner, placement)
 
 
@@ -209,11 +203,7 @@ def solve_tefx_genbinary_two(instance: TemporalInstance, trace=None) -> Temporal
                 j = 3 - j
             else:
                 owner[gid] = laggard
-            if trace is not None:
-                trace.append({
-                    "step": len(trace) + 1, "agent": owner[gid],
-                    "good": gid, "rule": "binary-split",
-                })
+            _record(trace, owner[gid], gid, "binary-split")
     return _allocation(instance, owner)
 
 
@@ -280,7 +270,6 @@ def solve_half_tefx_genbinary(instance: TemporalInstance, trace=None) -> Tempora
     # bundle holds a good i values at nothing
     counts = [[0] * (n + 1) for _ in range(n + 1)]
     zeroed = [[False] * (n + 1) for _ in range(n + 1)]
-    owner: dict[str, int] = {}
     failed: set[tuple] = set()
 
     def ok_at_round_end() -> bool:
@@ -316,13 +305,13 @@ def solve_half_tefx_genbinary(instance: TemporalInstance, trace=None) -> Tempora
 
     round_start = {0} | {k + 1 for k in round_end if k + 1 < len(order)}
 
-    def route(k: int) -> bool:
-        if k == len(order):
-            return True
+    def receivers(k: int):
+        """Candidates for good k that pass its round-end check, each held
+        in the counts while it is yielded; none when k starts a round in
+        a state already known to fail."""
         if k in round_start and (k, state_key()) in failed:
-            return False
-        g = order[k]
-        support = positive_for[g]
+            return
+        support = positive_for[order[k]]
         for receiver in candidates(k):
             flipped = []
             for i in agents:
@@ -331,9 +320,8 @@ def solve_half_tefx_genbinary(instance: TemporalInstance, trace=None) -> Tempora
                 elif not zeroed[i][receiver]:
                     zeroed[i][receiver] = True
                     flipped.append(i)
-            if (k not in round_end or ok_at_round_end()) and route(k + 1):
-                owner[g] = receiver
-                return True
+            if k not in round_end or ok_at_round_end():
+                yield receiver
             for i in agents:
                 if i in support:
                     counts[i][receiver] -= 1
@@ -341,18 +329,26 @@ def solve_half_tefx_genbinary(instance: TemporalInstance, trace=None) -> Tempora
                 zeroed[i][receiver] = False
         if k in round_start:
             failed.add((k, state_key()))
-        return False
 
-    if not route(0):
-        raise SolverFailure(
-            "no routing keeps every prefix half-envy-free up to any good"
-        )
-    if trace is not None:
-        for g in order:
-            trace.append({
-                "step": len(trace) + 1, "agent": owner[g],
-                "good": g, "rule": "half-route",
-            })
+    # depth first with an explicit stack: one suspended generator per good
+    # on the current route, so the depth is not bound by the call stack
+    picks: list[int] = []
+    pending = [receivers(0)]
+    while len(picks) < len(order):
+        receiver = next(pending[-1], None)
+        if receiver is not None:
+            picks.append(receiver)
+            pending.append(receivers(len(picks)))
+            continue
+        pending.pop()
+        if not picks:
+            raise SolverFailure(
+                "no routing keeps every prefix half-envy-free up to any good"
+            )
+        picks.pop()
+    owner = dict(zip(order, picks))
+    for g in order:
+        _record(trace, owner[g], g, "half-route")
     return _allocation(instance, owner)
 
 
@@ -380,14 +376,10 @@ def solve_alpha_tefx_positive(instance: TemporalInstance, trace=None) -> Tempora
         )
     values = instance.value_table
     agents = list(instance.agents)
-    bundles: dict[int, list[str]] = {i: [] for i in agents}
+    owner: dict[str, int] = {}
     for round_ids in instance.rounds:
-        piece = envy_cycle_elimination(
-            round_ids, values, agents, pick_rule="max", trace=trace
-        )
-        for i in agents:
-            bundles[i].extend(piece[i])
-    return _allocation(instance, _owners_from_bundles(bundles))
+        _hand_out(envy_cycle_elimination(round_ids, values, agents, trace=trace), owner)
+    return _allocation(instance, owner)
 
 
 def alpha_positive_bounds(instance: TemporalInstance) -> tuple[Fraction, ...]:
@@ -425,26 +417,15 @@ def solve_half_tefx_identical_days_two(instance: TemporalInstance, trace=None) -
         cutter = 1 if t % 2 == 1 else 2
         chooser = 3 - cutter
         mirrored = {1: values[cutter], 2: values[cutter]}
-        halves = envy_cycle_elimination(
-            round_ids, mirrored, [1, 2], pick_rule="max"
-        )
+        halves = envy_cycle_elimination(round_ids, mirrored, [1, 2])
         first, second = halves[1], halves[2]
-        worth_first = sum((values[chooser][g] for g in first), start=Fraction(0))
-        worth_second = sum((values[chooser][g] for g in second), start=Fraction(0))
-        if worth_first >= worth_second:
+        if _bundle_value(values, chooser, first) >= _bundle_value(values, chooser, second):
             taken, left = first, second
         else:
             taken, left = second, first
-        for g in taken:
-            owner[g] = chooser
-        for g in left:
-            owner[g] = cutter
-        if trace is not None:
-            for g in sorted(round_ids, key=good_key):
-                trace.append({
-                    "step": len(trace) + 1, "agent": owner[g],
-                    "good": g, "rule": "cut-and-choose",
-                })
+        _hand_out({chooser: taken, cutter: left}, owner)
+        for g in sorted(round_ids, key=good_key):
+            _record(trace, owner[g], g, "cut-and-choose")
     return _allocation(instance, owner)
 
 
@@ -499,11 +480,7 @@ def solve_rr_bivalued(instance: TemporalInstance, trace=None) -> TemporalAllocat
             owner[g] = agent
             pool.discard(g)
             pointer += 1
-            if trace is not None:
-                trace.append({
-                    "step": len(trace) + 1, "agent": agent,
-                    "good": g, "rule": "rr-global",
-                })
+            _record(trace, agent, g, "rr-global")
     return _allocation(instance, owner)
 
 
@@ -549,58 +526,28 @@ def solve_tef1_identical_days_scheduled(instance: TemporalInstance, trace=None) 
         picked = envy_ordered_pick_rounds(
             phase1_pool, slots, values, agents, trace=trace
         )
-        slot_owners: dict[tuple, set[int]] = {}
-        for agent, bundle in picked.items():
-            for g in bundle:
-                owner[g] = agent
-                placement[g] = mid_round
-                slot_owners.setdefault(slots[g], set()).add(agent)
+        _hand_out(picked, owner, placement, mid_round)
+        held = _slot_copies(slots)
 
         phase2_days = [instance.rounds[base + d] for d in range(half_up, n)]
-        phase2_slots = _pool_slots(instance, phase2_days)
-        by_slot: dict[tuple, list[str]] = {}
-        for g, slot in phase2_slots.items():
-            by_slot.setdefault(slot, []).append(g)
         end_round = base + n
-        for slot, copies in by_slot.items():
-            lacking = sorted(set(agents) - slot_owners.get(slot, set()))
-            copies = sorted(copies, key=good_key)
+        for slot, copies in _slot_copies(_pool_slots(instance, phase2_days)).items():
+            holders = {owner[g] for g in held[slot]}
+            lacking = [i for i in agents if i not in holders]
             assert len(lacking) == len(copies), "completion counts must match"
             for g, agent in zip(copies, lacking):
                 owner[g] = agent
                 placement[g] = end_round
-                if trace is not None:
-                    trace.append({
-                        "step": len(trace) + 1, "agent": agent,
-                        "good": g, "rule": "complete-copy",
-                    })
+                _record(trace, agent, g, "complete-copy")
 
-    remainder = T - full_blocks * n
-    if remainder:
-        base = full_blocks * n
-        head = (remainder + 1) // 2
-        first_pool = [
-            g for d in range(head) for g in instance.rounds[base + d]
-        ]
-        first_round = base + head
-        bundles = round_robin(first_pool, values, order=agents, trace=trace)
-        for agent, bundle in bundles.items():
-            for g in bundle:
-                owner[g] = agent
-                placement[g] = first_round
-        if remainder > head:
-            second_pool = [
-                g for d in range(head, remainder)
-                for g in instance.rounds[base + d]
-            ]
-            second_round = base + remainder
-            bundles = round_robin(
-                second_pool, values, order=list(reversed(agents)), trace=trace
-            )
-            for agent, bundle in bundles.items():
-                for g in bundle:
-                    owner[g] = agent
-                    placement[g] = second_round
+    base = full_blocks * n
+    remainder = T - base
+    head = (remainder + 1) // 2
+    for days, order in ((range(head), agents), (range(head, remainder), agents[::-1])):
+        if days:
+            pool = [g for d in days for g in instance.rounds[base + d]]
+            bundles = round_robin(pool, values, order=order, trace=trace)
+            _hand_out(bundles, owner, placement, base + days.stop)
     return _allocation(instance, owner, placement)
 
 
@@ -641,25 +588,11 @@ def solve_tefx_identical_days_scheduled_two(instance: TemporalInstance, trace=No
         # pairs of identical days split one copy per agent: exact equality
         for k in range(T // 2):
             days = [instance.rounds[2 * k], instance.rounds[2 * k + 1]]
-            slots = _pool_slots(instance, days)
-            target = 2 * k + 2
-            by_slot: dict[tuple, list[str]] = {}
-            for g, slot in slots.items():
-                by_slot.setdefault(slot, []).append(g)
-            for slot, copies in sorted(
-                by_slot.items(), key=lambda kv: good_key(kv[1][0])
-            ):
-                copies = sorted(copies, key=good_key)
-                assert len(copies) == 2
-                owner[copies[0]] = 1
-                owner[copies[1]] = 2
-                placement[copies[0]] = target
-                placement[copies[1]] = target
+            for first, second in _slot_copies(_pool_slots(instance, days)).values():
+                _hand_out({1: [first], 2: [second]}, owner, placement, 2 * k + 2)
         return _allocation(instance, owner, placement)
 
-    if T == 1:
-        pools = [(list(instance.rounds[0]), 1)]
-    elif T == 2:  # buffer == 1 here: keep both days at arrival
+    if T == 2:  # buffer == 1 here: keep both days at arrival
         pools = [(list(instance.rounds[0]), 1), (list(instance.rounds[1]), 2)]
     else:  # odd horizon: lone first day, then pairs landing on odd rounds
         pools = [(list(instance.rounds[0]), 1)]
@@ -697,17 +630,23 @@ def _emit(instance, placed, rule, trace):
     for g, agent, target in placed:
         owner[g] = agent
         placement[g] = target
-        if trace is not None:
-            trace.append({
-                "step": len(trace) + 1, "agent": agent,
-                "good": g, "rule": rule,
-            })
+        _record(trace, agent, g, rule)
     return _allocation(instance, owner, placement)
 
 
 def _least(current, value):
     """Running minimum, where None means "no good yet"."""
     return value if current is None or value < current else current
+
+
+def _two_agent_bounds(pool):
+    """Both agents' totals and two-part maximin shares of a pool of value
+    vectors."""
+    columns = ([v[0] for v in pool], [v[1] for v in pool])
+    return (
+        tuple(sum(c, start=Fraction(0)) for c in columns),
+        tuple(mms_share(c, 2, cap=None) for c in columns),
+    )
 
 
 def _split_ok(totals, shares, a1v1, a1v2, min2_in_a1, min1_in_a2):
@@ -739,19 +678,11 @@ def _search_pool_splits(instance, pools):
     v2 = {g: instance.value(2, g) for g in instance.goods_by_id}
     ordered_pools = [sorted(pool, key=good_key) for pool, _ in pools]
 
-    totals = []
-    shares = []
-    seen: list[str] = []
+    bounds = []
+    seen: list[tuple] = []
     for pool in ordered_pools:
-        seen.extend(pool)
-        totals.append((
-            sum((v1[g] for g in seen), start=Fraction(0)),
-            sum((v2[g] for g in seen), start=Fraction(0)),
-        ))
-        shares.append((
-            mms_share([v1[g] for g in seen], 2, cap=None),
-            mms_share([v2[g] for g in seen], 2, cap=None),
-        ))
+        seen.extend((v1[g], v2[g]) for g in pool)
+        bounds.append(_two_agent_bounds(seen))
 
     failed: set[tuple] = set()
 
@@ -780,7 +711,7 @@ def _search_pool_splits(instance, pools):
             if key in tried:
                 continue
             tried.add(key)
-            if not _split_ok(totals[p], shares[p], *key):
+            if not _split_ok(*bounds[p], *key):
                 continue
             tail = walk(p + 1, *key)
             if tail is not None:
@@ -816,16 +747,10 @@ def _search_window(instance):
         """Totals and shares of the pool placed by round t."""
         key = (t, waiting)
         if key not in share_memo:
-            pool = [
+            share_memo[key] = _two_agent_bounds([
                 v for v, c, w in zip(vecs, count, waiting)
                 for _ in range(c * t - w)
-            ]
-            share_memo[key] = (
-                (sum((v[0] for v in pool), start=Fraction(0)),
-                 sum((v[1] for v in pool), start=Fraction(0))),
-                (mms_share([v[0] for v in pool], 2, cap=None),
-                 mms_share([v[1] for v in pool], 2, cap=None)),
-            )
+            ])
         return share_memo[key]
 
     def vector_moves(t, k, ages):

@@ -67,45 +67,47 @@ def test_search_goldens(tmp_path):
     assert out.read_text() == (GOLDEN / "search_trap_buffered.json").read_text()
 
 
+# classification is shape-derived, so identical-days with per-round = n
+# is also a house instance, and identical-valuation with cap 1 is also
+# binary-with-zeros; that covers the two solvers needing combined settings
+SOLVER_CASES = {
+    "tef1-house-t3": ["--setting", "identical-days", "--agents", "3",
+                      "--rounds", "3", "--per-round", "3", "--cap", "7"],
+    "tefx-genbinary-two": ["--setting", "generalized-binary", "--agents", "2",
+                           "--rounds", "4", "--per-round", "2", "--cap", "7"],
+    "tefx-genbinary-identical": ["--setting", "identical-valuation",
+                                 "--agents", "3", "--rounds", "3",
+                                 "--per-round", "2", "--cap", "1"],
+    "half-tefx-genbinary": ["--setting", "generalized-binary", "--agents", "3",
+                            "--rounds", "4", "--per-round", "2", "--cap", "7"],
+    "alpha-tefx-positive": ["--agents", "2", "--rounds", "3",
+                            "--per-round", "3", "--min-value", "1",
+                            "--cap", "7"],
+    "half-tefx-identical-days-two": ["--setting", "identical-days",
+                                     "--agents", "2", "--rounds", "4",
+                                     "--per-round", "2", "--cap", "7"],
+    "alpha-tefx-identical-valuation": ["--setting", "identical-valuation",
+                                       "--agents", "3", "--rounds", "3",
+                                       "--per-round", "2", "--cap", "7"],
+    "rr-bivalued": ["--setting", "bi-valued", "--agents", "3", "--rounds", "3",
+                    "--per-round", "2", "--cap", "7"],
+    "tef1-identical-days-scheduled": ["--setting", "identical-days",
+                                      "--agents", "3", "--rounds", "5",
+                                      "--per-round", "2", "--buffer", "2",
+                                      "--cap", "7"],
+    "tefx-identical-days-scheduled-two": ["--setting", "identical-days",
+                                          "--agents", "2", "--rounds", "4",
+                                          "--per-round", "2", "--buffer", "2",
+                                          "--cap", "7"],
+}
+
+
 def test_every_solver_output_passes_its_own_check(tmp_path):
     # gen -> solve -> check round trip through files, per the registry
     from tempfair.solvers import SOLVERS
 
-    # classification is shape-derived, so identical-days with per-round = n
-    # is also a house instance, and identical-valuation with cap 1 is also
-    # binary-with-zeros; that covers the two solvers needing combined settings
-    cases = {
-        "tef1-house-t3": ["--setting", "identical-days", "--agents", "3",
-                          "--rounds", "3", "--per-round", "3", "--cap", "7"],
-        "tefx-genbinary-two": ["--setting", "generalized-binary", "--agents", "2",
-                               "--rounds", "4", "--per-round", "2", "--cap", "7"],
-        "tefx-genbinary-identical": ["--setting", "identical-valuation",
-                                     "--agents", "3", "--rounds", "3",
-                                     "--per-round", "2", "--cap", "1"],
-        "half-tefx-genbinary": ["--setting", "generalized-binary", "--agents", "3",
-                                "--rounds", "4", "--per-round", "2", "--cap", "7"],
-        "alpha-tefx-positive": ["--agents", "2", "--rounds", "3",
-                                "--per-round", "3", "--min-value", "1",
-                                "--cap", "7"],
-        "half-tefx-identical-days-two": ["--setting", "identical-days",
-                                         "--agents", "2", "--rounds", "4",
-                                         "--per-round", "2", "--cap", "7"],
-        "alpha-tefx-identical-valuation": ["--setting", "identical-valuation",
-                                           "--agents", "3", "--rounds", "3",
-                                           "--per-round", "2", "--cap", "7"],
-        "rr-bivalued": ["--setting", "bi-valued", "--agents", "3", "--rounds", "3",
-                        "--per-round", "2", "--cap", "7"],
-        "tef1-identical-days-scheduled": ["--setting", "identical-days",
-                                          "--agents", "3", "--rounds", "5",
-                                          "--per-round", "2", "--buffer", "2",
-                                          "--cap", "7"],
-        "tefx-identical-days-scheduled-two": ["--setting", "identical-days",
-                                              "--agents", "2", "--rounds", "4",
-                                              "--per-round", "2", "--buffer", "2",
-                                              "--cap", "7"],
-    }
-    assert set(cases) == set(SOLVERS)
-    for alg, gen_args in cases.items():
+    assert set(SOLVER_CASES) == set(SOLVERS)
+    for alg, gen_args in SOLVER_CASES.items():
         inst = tmp_path / f"{alg}.json"
         assert main(["gen", *gen_args, "--seed", "11", "-o", str(inst)]) == 0
         alloc = tmp_path / f"{alg}-alloc.json"
@@ -113,6 +115,30 @@ def test_every_solver_output_passes_its_own_check(tmp_path):
         for concept in SOLVERS[alg].concepts(load_instance(str(inst))):
             assert main(["check", str(inst), str(alloc),
                          "--concept", str(concept)]) == 0, (alg, str(concept))
+
+
+# the ten cases above plus an odd horizon, whose splits take the
+# pool-split path
+TRACE_CASES = {
+    **SOLVER_CASES,
+    "tefx-identical-days-scheduled-two/5-rounds": [
+        "--setting", "identical-days", "--agents", "2", "--rounds", "5",
+        "--per-round", "2", "--buffer", "2", "--cap", "7",
+    ],
+}
+
+
+def test_solve_traces_golden(tmp_path):
+    golden = json.loads((GOLDEN / "solve_traces.json").read_text())
+    assert set(golden) == set(TRACE_CASES)
+    for case, gen_args in TRACE_CASES.items():
+        inst = tmp_path / "inst.json"
+        assert main(["gen", *gen_args, "--seed", "11", "-o", str(inst)]) == 0
+        code, out = run_to_file(tmp_path, [
+            "solve", str(inst), "--alg", case.split("/")[0], "--trace",
+        ])
+        assert code == 0
+        assert json.loads(out.read_text()) == golden[case], case
 
 
 def test_check_failing_allocation_exits_one(tmp_path, capsys):

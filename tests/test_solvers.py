@@ -194,6 +194,13 @@ def test_deterministic(name):
     assert first.placement == second.placement
 
 
+def test_half_genbinary_routes_past_the_recursion_limit():
+    # 1000 goods: a route one level deep per good, past the interpreter's
+    # default recursion limit
+    instance = generate(4, 200, 5, 9, seed=1, generalized_binary=True)
+    certify("half-tefx-genbinary", instance)
+
+
 class TestHouseT3Structure:
     def test_one_good_per_agent_per_round(self):
         day = [(3, 1, 4), (1, 5, 9), (2, 6, 5)]
@@ -205,6 +212,20 @@ class TestHouseT3Structure:
             ]
             owners = sorted(alloc.owner[g] for g in placed)
             assert owners == [1, 2, 3], alloc
+
+    def test_pinned_pairing(self):
+        # agent 3 picks both copies of the third good; agents 1 and 2 pick
+        # g1, g2 and g4, g5, so picks and copies form a four-good cycle
+        instance = make_instance([[(5, 5, 1), (1, 1, 0), (0, 0, 5)]] * 3)
+        alloc = certify("tef1-house-t3", instance)
+        assert alloc.placement == {
+            "g1": 1, "g2": 1, "g3": 1, "g4": 2, "g5": 2, "g6": 2,
+            "g7": 3, "g8": 3, "g9": 3,
+        }
+        assert alloc.owner == {
+            "g1": 1, "g2": 2, "g3": 3, "g4": 2, "g5": 1, "g6": 3,
+            "g7": 2, "g8": 1, "g9": 3,
+        }
 
     def test_no_delays(self):
         day = [(2, 7), (7, 2)]
