@@ -1,8 +1,10 @@
 """Fairness checkers, both on fixed bundles and round by round.
 
-All comparisons are exact (Fraction arithmetic).  The temporal variants
-demand the property at every prefix: the bundles of goods handed out in
-rounds 1..t, for each t up to the horizon.
+All comparisons are exact: they sum the integers of the instance's
+``value_table`` (each value times the instance's ``scale``), and only a
+witness's shortfall turns back into a Fraction, divided by ``scale``.  The
+temporal variants demand the property at every prefix: the bundles of
+goods handed out in rounds 1..t, for each t up to the horizon.
 
 Three envy notions on bundles, each with the removal quantified over the
 envied bundle:
@@ -100,10 +102,10 @@ class Verdict:
 def _alphas(instance: TemporalInstance, alpha) -> list[Fraction]:
     """Normalize a scalar or per-agent alpha spec to a per-agent list."""
     n = instance.n_agents
-    if isinstance(alpha, (Fraction, int)):
-        alphas = [Fraction(alpha)] * n
+    if isinstance(alpha, (Fraction, int, float, str)):
+        alphas = [parse_rational(alpha)] * n
     else:
-        alphas = [Fraction(a) for a in alpha]
+        alphas = [parse_rational(a) for a in alpha]
         if len(alphas) != n:
             raise ValidationError(
                 f"{len(alphas)} alpha values for {n} agents"
@@ -118,32 +120,29 @@ def _envy_violation(instance, bundles, mode, alphas=None):
     """First (envious, envied, removed, shortfall) in index order, or None.
 
     mode "ef1" uses the best removal, "efx" the cheapest.  alphas scales the
-    envied side (efx removal) when given.
+    envied side (efx removal) when given.  The test runs on table integers,
+    with alpha = num/den as ``den * own < num * rest``.
     """
-    n = instance.n_agents
-    own_values = [instance.bundle_value(i, bundles[i - 1]) for i in instance.agents]
+    table = instance.value_table
+    own = [sum(table[i][g] for g in bundles[i - 1]) for i in instance.agents]
     for i in instance.agents:
-        scale = alphas[i - 1] if alphas is not None else Fraction(1)
+        row = table[i]
+        num, den = alphas[i - 1].as_integer_ratio() if alphas else (1, 1)
         for j in instance.agents:
             if i == j:
                 continue
             other = list(bundles[j - 1])
             if not other:
                 continue
-            total = instance.bundle_value(i, other)
             if mode == "ef1":
-                top = max(instance.value(i, g) for g in other)
-                removed = min(
-                    (g for g in other if instance.value(i, g) == top),
-                    key=good_key,
-                )
+                top = max(row[g] for g in other)
+                removed = min((g for g in other if row[g] == top), key=good_key)
             else:
-                removed = min(
-                    other, key=lambda g: (instance.value(i, g), good_key(g))
-                )
-            rest = total - instance.value(i, removed)
-            if own_values[i - 1] < scale * rest:
-                return (i, j, removed, scale * rest - own_values[i - 1])
+                removed = min(other, key=lambda g: (row[g], good_key(g)))
+            rest = sum(row[g] for g in other) - row[removed]
+            gap = num * rest - den * own[i - 1]
+            if gap > 0:
+                return (i, j, removed, Fraction(gap, den * instance.scale))
     return None
 
 
@@ -170,10 +169,12 @@ def is_alpha_efx(instance: TemporalInstance, bundles: Bundles, alpha) -> bool:
     return _envy_violation(instance, bundles, "efx", alphas) is None
 
 
-def mms_share(values: Sequence[Fraction], n_parts: int, cap: int | None = 16) -> Fraction:
+def mms_share(values: Sequence[int | Fraction], n_parts: int, cap: int | None = 16) -> Fraction:
     """Maximin share of one agent over a pool, split into n_parts bundles.
 
-    ``values`` lists the agent's values for every good in the pool.  Parts
+    ``values`` lists the agent's values for every good in the pool: ints
+    and Fractions as they are, anything else read by ``parse_rational``
+    (so floats and bools are rejected).  The share is a Fraction.  Parts
     may be empty.  The search runs on exact integers: zero values are
     dropped, the rest are multiplied by the LCM of their denominators and
     divided by the GCD of the results, and the share is scaled back at the
@@ -187,8 +188,8 @@ def mms_share(values: Sequence[Fraction], n_parts: int, cap: int | None = 16) ->
     """
     if n_parts < 1:
         raise ValidationError("need at least one part")
-    vals = [v if type(v) is Fraction else Fraction(v) for v in values]
-    if any(v.numerator < 0 for v in vals):
+    vals = [v if type(v) in (int, Fraction) else parse_rational(v) for v in values]
+    if any(v < 0 for v in vals):
         raise ValidationError("negative value in pool")
     if n_parts == 1:
         return sum(vals, start=Fraction(0))
@@ -264,12 +265,12 @@ def _mms_share_search(vals: tuple[int, ...], n_parts: int) -> int:
 def _mms_violation(instance, bundles, cap=16):
     """First agent whose bundle misses their maximin share over the pool."""
     pool = [gid for b in bundles for gid in b]
-    n = instance.n_agents
     for i in instance.agents:
-        share = mms_share([instance.value(i, g) for g in pool], n, cap=cap)
-        have = instance.bundle_value(i, bundles[i - 1])
+        row = instance.value_table[i]
+        share = mms_share([row[g] for g in pool], instance.n_agents, cap=cap)
+        have = sum(row[g] for g in bundles[i - 1])
         if have < share:
-            return (i, share - have)
+            return (i, (share - have) / instance.scale)
     return None
 
 

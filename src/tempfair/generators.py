@@ -10,7 +10,6 @@ which is fine; it can never lose a requested flag).
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from .errors import ValidationError
 from .model import TemporalInstance
@@ -69,12 +68,12 @@ def generate(
             return rng.choice(palette)
         return rng.randint(min_value, value_cap)
 
-    def draw_vector() -> tuple[Fraction, ...]:
+    def draw_vector() -> tuple[int, ...]:
         if identical_valuation:
-            return (Fraction(draw_one()),) * n_agents
-        return tuple(Fraction(draw_one()) for _ in range(n_agents))
+            return (draw_one(),) * n_agents
+        return tuple(draw_one() for _ in range(n_agents))
 
-    def draw_day() -> list[tuple[Fraction, ...]]:
+    def draw_day() -> list[tuple[int, ...]]:
         return [draw_vector() for _ in range(per_round)]
 
     if identical_days:

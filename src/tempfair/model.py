@@ -1,10 +1,12 @@
 """Core data model for temporal fair division instances.
 
 Goods arrive over a horizon of ``T`` rounds.  Every good carries one value
-per agent (exact rationals throughout; floats are rejected at the JSON
-boundary).  An allocation maps each good to the round it is actually
-handed out (its placement, at most ``buffer - 1`` rounds after arrival)
-and to the agent who owns it.
+per agent: an exact Fraction at the boundary (floats and bools are
+rejected wherever values enter), and inside an integer, that value times
+the instance's ``scale``, the LCM of all value denominators.  Every layer
+sums and compares the integers of ``value_table``.  An allocation maps
+each good to the round it is actually handed out (its placement, at most
+``buffer - 1`` rounds after arrival) and to the agent who owns it.
 
 Agents are indexed 1..n in the public API.  Internally bundles are kept as
 tuples indexed 0..n-1; helpers here do the translation.
@@ -13,10 +15,11 @@ tuples indexed 0..n-1; helpers here do the translation.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import BufferViolation, ValidationError
 
@@ -32,14 +35,16 @@ def good_key(good_id: str) -> tuple[int, str]:
 def parse_rational(text) -> Fraction:
     """Parse a rational from a string like '3', '2/7' or '1.5'.
 
-    Ints pass through.  Floats are rejected: exactness is load-bearing for
-    every checker in this package.  So is exponent notation, because
-    ``Fraction('1e999999999')`` would build the power before any size check.
+    Ints and Fractions pass through.  Floats and bools are rejected:
+    exactness is load-bearing for every checker here.  So is exponent
+    notation: ``Fraction('1e999999999')`` builds the power before any check.
     """
     if isinstance(text, bool):
         raise ValidationError(f"not a rational value: {text!r}")
     if isinstance(text, int):
         return Fraction(text)
+    if isinstance(text, Fraction):
+        return text
     if isinstance(text, float):
         raise ValidationError(
             f"float value {text!r} rejected; use a string like '1/3'"
@@ -126,21 +131,19 @@ class TemporalInstance:
         return tuple(tuple(sorted(b, key=good_key)) for b in buckets)
 
     @cached_property
-    def value_table(self) -> dict[int, dict[str, Fraction]]:
-        """Per-agent value lookup, keyed by 1-based agent then good id."""
+    def scale(self) -> int:
+        """LCM of every value denominator; 1 when there are no goods."""
+        return math.lcm(*(v.denominator for g in self.goods for v in g.values))
+
+    @cached_property
+    def value_table(self) -> dict[int, dict[str, int]]:
+        """Each value times ``scale``, an exact integer, keyed by 1-based
+        agent then good id.  The one value lookup of every layer."""
+        scale = self.scale
         return {
-            i: {g.id: g.values[i - 1] for g in self.goods}
+            i: {g.id: int(g.values[i - 1] * scale) for g in self.goods}
             for i in self.agents
         }
-
-    def value(self, agent: int, good_id: str) -> Fraction:
-        """Value of one good to one agent (agent is 1-based)."""
-        return self.goods_by_id[good_id].values[agent - 1]
-
-    def bundle_value(self, agent: int, bundle: Iterable[str]) -> Fraction:
-        return sum(
-            (self.value(agent, gid) for gid in bundle), start=Fraction(0)
-        )
 
     @classmethod
     def from_value_rounds(
@@ -151,8 +154,9 @@ class TemporalInstance:
         """Build an instance from per-round lists of per-agent value vectors.
 
         ``value_rounds[t][k]`` is the value vector of the k-th good arriving
-        at round t+1.  Ids are generated as g1, g2, ... zero-padded so the
-        canonical good order matches creation order.
+        at round t+1, each value read by ``parse_rational``.  Ids are
+        generated as g1, g2, ... zero-padded so the canonical good order
+        matches creation order.
         """
         total = sum(len(r) for r in value_rounds)
         width = len(str(total)) if total else 1
@@ -168,10 +172,7 @@ class TemporalInstance:
                     Good(
                         id=f"g{counter:0{width}d}",
                         arrival=t,
-                        values=tuple(
-                            v if isinstance(v, Fraction) else Fraction(v)
-                            for v in vec
-                        ),
+                        values=tuple(parse_rational(v) for v in vec),
                     )
                 )
         if n is None:

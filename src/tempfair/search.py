@@ -109,8 +109,8 @@ def search(
             span_after[k] = (here, goods[k + 1].arrival - 1)
 
     rows = {
-        i: tuple(instance.value(i, g.id) for g in goods)
-        for i in instance.agents
+        i: tuple(row[g.id] for g in goods)
+        for i, row in instance.value_table.items()
     }
     owner: dict[str, int] = {}
     placed: dict[str, int] = {}

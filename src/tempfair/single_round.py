@@ -9,17 +9,16 @@ agent index, so every routine is deterministic.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ValidationError
 from .model import good_key
 
-ValueTable = Mapping[int, Mapping[str, Fraction]]
+ValueTable = Mapping[int, Mapping[str, int]]
 
 
-def _bundle_value(values: ValueTable, agent: int, bundle: Iterable[str]) -> Fraction:
-    return sum((values[agent][g] for g in bundle), start=Fraction(0))
+def _bundle_value(values: ValueTable, agent: int, bundle: Iterable[str]) -> int:
+    return sum(values[agent][g] for g in bundle)
 
 
 def _record(trace: list | None, agent: int, good: str, rule: str) -> None:

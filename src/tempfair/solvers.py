@@ -60,10 +60,12 @@ def _hand_out(bundles: dict[int, list[str]], owner, placement=None, at=None) -> 
 
 
 def _by_vector(instance, day_ids: Sequence[str]) -> dict[tuple, list[str]]:
-    """Goods of one day grouped by value vector, each group in id order."""
+    """Goods of one day grouped by their integer value vector (one table
+    entry per agent), each group in id order."""
+    table = instance.value_table.values()
     groups: dict[tuple, list[str]] = {}
     for gid in sorted(day_ids, key=good_key):
-        groups.setdefault(instance.goods_by_id[gid].values, []).append(gid)
+        groups.setdefault(tuple(row[gid] for row in table), []).append(gid)
     return groups
 
 
@@ -113,7 +115,6 @@ def solve_tef1_house_t3(instance: TemporalInstance, trace=None) -> TemporalAlloc
     _require(setting.house_allocation, "needs exactly n goods per round")
     _require(setting.identical_days, "needs identical days")
     _require(instance.horizon == 3, "needs a horizon of exactly 3 rounds")
-    n = instance.n_agents
     values = instance.value_table
     day1, day2, day3 = instance.rounds
 
@@ -166,9 +167,7 @@ def solve_tef1_house_t3(instance: TemporalInstance, trace=None) -> TemporalAlloc
 # --- generalized binary ------------------------------------------------------
 
 def _support(instance, gid):
-    return tuple(
-        i for i in instance.agents if instance.value(i, gid) > 0
-    )
+    return tuple(i for i, row in instance.value_table.items() if row[gid] > 0)
 
 
 def solve_tefx_genbinary_two(instance: TemporalInstance, trace=None) -> TemporalAllocation:
@@ -218,7 +217,7 @@ def solve_tefx_genbinary_identical(instance: TemporalInstance, trace=None) -> Te
     positive_seen = 0
     for round_ids in instance.rounds:
         for gid in round_ids:
-            if instance.value(1, gid) > 0:
+            if instance.value_table[1][gid] > 0:
                 owner[gid] = positive_seen % n + 1
                 positive_seen += 1
             else:
@@ -390,7 +389,7 @@ def alpha_positive_bounds(instance: TemporalInstance) -> tuple[Fraction, ...]:
     """
     bounds = []
     for i in instance.agents:
-        vals = [instance.value(i, g.id) for g in instance.goods]
+        vals = [g.values[i - 1] for g in instance.goods]
         lo, hi = min(vals), max(vals)
         if lo <= 0:
             raise PreconditionError("needs strictly positive values")
@@ -436,11 +435,11 @@ def solve_alpha_tefx_identical_valuation(instance: TemporalInstance, trace=None)
     currently has least; zero goods go to agent n."""
     setting = classify(instance)
     _require(setting.identical_valuation, "needs identical valuations")
-    totals = {i: Fraction(0) for i in instance.agents}
+    totals = {i: 0 for i in instance.agents}
     owner = {}
     for round_ids in instance.rounds:
         for gid in round_ids:
-            v = instance.value(1, gid)
+            v = instance.value_table[1][gid]
             if v > 0:
                 receiver = min(instance.agents, key=lambda i: (totals[i], i))
                 totals[receiver] += v
@@ -644,7 +643,7 @@ def _two_agent_bounds(pool):
     vectors."""
     columns = ([v[0] for v in pool], [v[1] for v in pool])
     return (
-        tuple(sum(c, start=Fraction(0)) for c in columns),
+        tuple(sum(c) for c in columns),
         tuple(mms_share(c, 2, cap=None) for c in columns),
     )
 
@@ -674,8 +673,7 @@ def _search_pool_splits(instance, pools):
     any-good-removal check depends on).  Prunes splits failing envy or
     share checks at their pool's round; memoizes failed states.
     """
-    v1 = {g: instance.value(1, g) for g in instance.goods_by_id}
-    v2 = {g: instance.value(2, g) for g in instance.goods_by_id}
+    v1, v2 = instance.value_table[1], instance.value_table[2]
     ordered_pools = [sorted(pool, key=good_key) for pool, _ in pools]
 
     bounds = []
@@ -719,7 +717,7 @@ def _search_pool_splits(instance, pools):
         failed.add(state)
         return None
 
-    return walk(0, Fraction(0), Fraction(0), None, None)
+    return walk(0, 0, 0, None, None)
 
 
 def _search_window(instance):
@@ -810,8 +808,7 @@ def _search_window(instance):
         failed.add(memo_key)
         return None
 
-    start = (Fraction(0), Fraction(0), None, None)
-    plan = walk(1, ((0,) * reach,) * len(vecs), start)
+    plan = walk(1, ((0,) * reach,) * len(vecs), (0, 0, None, None))
     if plan is None:
         return None
     placed = []

@@ -49,7 +49,7 @@ class FixtureReport:
 
 
 def _identical_pair_rounds(day_values, horizon):
-    day = [(Fraction(v), Fraction(v)) for v in day_values]
+    day = [(v, v) for v in day_values]
     return [list(day) for _ in range(horizon)]
 
 
@@ -60,10 +60,9 @@ def _binary_three_agents() -> TemporalInstance:
     Goods fall into three kinds: valued by everyone, valued by the first
     two agents only, and valued by nobody.
     """
-    one, zero = Fraction(1), Fraction(0)
-    everyone = (one, one, one)
-    first_two = (one, one, zero)
-    nobody = (zero, zero, zero)
+    everyone = (1, 1, 1)
+    first_two = (1, 1, 0)
+    nobody = (0, 0, 0)
     kind = {
         1: first_two, 2: first_two, 11: first_two,
         5: nobody, 6: nobody,
@@ -80,16 +79,15 @@ def _pair_then_large(horizon: int) -> TemporalInstance:
     Middle rounds are empty, and the buffer stops one round short of the
     horizon, so the pair is always handed out before the large good.
     """
-    one, two = Fraction(1), Fraction(2)
-    rounds = [[(one, one), (one, one)]]
+    rounds = [[(1, 1), (1, 1)]]
     rounds += [[] for _ in range(horizon - 2)]
-    rounds += [[(two, two)]]
+    rounds += [[(2, 2)]]
     return TemporalInstance.from_value_rounds(rounds, buffer=max(horizon - 1, 1))
 
 
 def _trap_stream() -> TemporalInstance:
     vals = [1, 1, 100, 10]
-    rounds = [[(Fraction(v), Fraction(v))] for v in vals]
+    rounds = [[(v, v)] for v in vals]
     return TemporalInstance.from_value_rounds(rounds, buffer=2)
 
 
@@ -151,8 +149,7 @@ def verify_counterexamples() -> tuple[FixtureReport, ...]:
         _run(
             "half-tefx-unit-pair-then-triple",
             TemporalInstance.from_value_rounds(
-                [[(Fraction(1), Fraction(1)), (Fraction(1), Fraction(1))],
-                 [(Fraction(3), Fraction(3))]]
+                [[(1, 1), (1, 1)], [(3, 3)]]
             ),
             half, False, expected=False,
         ),

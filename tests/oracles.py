@@ -75,3 +75,11 @@ def naive_tmms(values, bundles, n_agents):
         if mine < share:
             return False
     return True
+
+
+def values_of(instance):
+    """values[i][g] for every agent and good, read off the goods' vectors."""
+    return {
+        i: {g.id: g.values[i - 1] for g in instance.goods}
+        for i in instance.agents
+    }

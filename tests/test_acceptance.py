@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import naive_ef1, naive_efx, naive_mms_share
+from oracles import naive_ef1, naive_efx, naive_mms_share, values_of
 from tempfair.fairness import (
     Concept,
     check_temporal,
@@ -202,10 +202,11 @@ def test_criterion_4_bivalued_ratio_tight():
     )
     allocation = SOLVERS["rr-bivalued"].run(instance)
     final = prefix(instance, allocation, 2)
-    totals = [instance.bundle_value(i, final[i - 1]) for i in instance.agents]
+    values = values_of(instance)
+    totals = [sum(values[i][g] for g in final[i - 1]) for i in instance.agents]
     weak = min(instance.agents, key=lambda i: totals[i - 1])
     rest_after_removal = max(
-        instance.bundle_value(weak, set(final[j - 1]) - {g})
+        sum(values[weak][h] for h in final[j - 1] if h != g)
         for j in instance.agents
         if j != weak
         for g in final[j - 1]
@@ -238,12 +239,13 @@ def test_criterion_5_block_boundary_envy():
         if not check_temporal(instance, allocation, tef1).holds:
             bad.append((k, "tef1"))
             continue
+        values = values_of(instance)
         for t in range(n, T + 1, n):
             bundles = prefix(instance, allocation, t)
             for i in instance.agents:
-                mine = instance.bundle_value(i, bundles[i - 1])
+                mine = sum(values[i][g] for g in bundles[i - 1])
                 for j in instance.agents:
-                    if i != j and mine < instance.bundle_value(i, bundles[j - 1]):
+                    if i != j and mine < sum(values[i][g] for g in bundles[j - 1]):
                         bad.append((k, f"envy at t={t}: {i} -> {j}"))
     ok = not bad
     line = report(5, "block-boundary-envy", ok,
@@ -324,11 +326,10 @@ def test_criterion_7_efx_two_thirds_mms_two_agents():
         if not is_efx(instance, bundles):
             continue
         efx_true += 1
+        values = values_of(instance)
         for i in instance.agents:
-            share = mms_share(
-                [instance.value(i, g.id) for g in instance.goods], 2, cap=None
-            )
-            own = instance.bundle_value(i, bundles[i - 1])
+            share = mms_share(list(values[i].values()), 2, cap=None)
+            own = sum(values[i][g] for g in bundles[i - 1])
             if own < share:
                 below_share.add(trial)
                 ratios.append(own / share)
@@ -362,8 +363,9 @@ def test_criterion_7_efx_two_thirds_mms_two_agents():
         [(3, 3), (6, 6), (6, 6), (2, 2), (1, 1)], [2, 1, 1, 2, 2]
     )
     tight_share = mms_share([3, 6, 6, 2, 1], 2, cap=None)
+    tight_values = values_of(tight)[2]
     tightness = is_efx(tight, tight_bundles) and \
-        tight.bundle_value(2, tight_bundles[1]) == two_thirds * tight_share
+        sum(tight_values[g] for g in tight_bundles[1]) == two_thirds * tight_share
 
     ok = (not below_two_thirds and not binary_short
           and refutation_kept and tightness)

@@ -34,6 +34,7 @@ from oracles import (
     naive_efx,
     naive_mms_share,
     naive_tmms,
+    values_of,
 )
 
 
@@ -199,6 +200,31 @@ class TestMmsShare:
             mms_share([F(1)], 0)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: TemporalInstance.from_value_rounds([[(0.1, 0.2)]]),
+        lambda: TemporalInstance.from_value_rounds([[(True, 1)]]),
+        lambda: mms_share([0.1, 0.2, 0.3], 2),
+        lambda: mms_share([True, 2], 2),
+        lambda: is_alpha_efx(make_instance([[(1, 1)]]), ({"g1"}, set()), [0.5, 1.0]),
+        lambda: is_alpha_efx(make_instance([[(1, 1)]]), ({"g1"}, set()), 0.5),
+    ],
+    ids=["float-value", "bool-value", "float-pool", "bool-pool",
+         "float-alphas", "float-alpha"],
+)
+def test_python_entry_points_reject_floats_and_bools(call):
+    with pytest.raises(ValidationError):
+        call()
+
+
+def test_python_entry_points_take_ints_fractions_and_strings():
+    inst = TemporalInstance.from_value_rounds([[(1, F(1, 2), "1/3")]])
+    assert inst.goods[0].values == (F(1), F(1, 2), F(1, 3))
+    assert mms_share([1, F(1, 2), "1/2"], 2) == F(1)
+    assert is_alpha_efx(inst, ({"g1"}, set(), set()), ["1/2", F(1), 1])
+
+
 # --- concept parsing ------------------------------------------------------------
 
 class TestConcept:
@@ -344,10 +370,7 @@ class TestCheckTemporal:
             concept = rng.choice(
                 [Concept("tef1"), Concept("tefx"), Concept("atefx", F(1, 2))]
             )
-            values = {
-                i: {g.id: inst.value(i, g.id) for g in inst.goods}
-                for i in inst.agents
-            }
+            values = values_of(inst)
 
             def oracle_at(t):
                 packed = prefix(inst, alloc, t)
@@ -369,6 +392,34 @@ class TestCheckTemporal:
                 # reported round is the first failing one
                 assert not oracle_at(verdict.round)
                 assert all(oracle_at(t) for t in range(1, verdict.round))
+
+
+# one good per round worth (4/3, 3/7, 3/2), (2, 0, 3) and (2, 5/3, 9/7);
+# agent 1 takes the first and last, agent 2 the middle one
+PINNED_ROUNDS = [
+    [(F(4, 3), F(3, 7), F(3, 2))],
+    [(F(2), F(0), F(3))],
+    [(F(2), F(5, 3), F(9, 7))],
+]
+
+
+@pytest.mark.parametrize(
+    "concept,expected",
+    [
+        ("tef1", {"envious": 2, "envied": 1, "removed_good": "g3", "shortfall": "3/7"}),
+        ("tefx", {"envious": 2, "envied": 1, "removed_good": "g1", "shortfall": "5/3"}),
+        ("atefx:1/2,2/3,3/7",
+         {"envious": 2, "envied": 1, "removed_good": "g1", "shortfall": "10/9"}),
+        ("tmms", {"envious": 3, "envied": None, "removed_good": None, "shortfall": "9/7"}),
+    ],
+)
+def test_pinned_witness_on_rational_values(concept, expected):
+    inst = make_instance(PINNED_ROUNDS)
+    alloc = TemporalAllocation(
+        placement=arrival_placement(inst), owner={"g1": 1, "g2": 2, "g3": 1}
+    )
+    verdict = check_temporal(inst, alloc, Concept.from_string(concept))
+    assert verdict.to_json() == {"holds": False, "round": 3, **expected}
 
 
 def test_verdict_json():

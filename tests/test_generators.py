@@ -8,6 +8,8 @@ from tempfair.errors import ValidationError
 from tempfair.generators import generate
 from tempfair.model import classify, instance_to_json
 
+from oracles import values_of
+
 
 def test_same_seed_same_instance():
     a = generate(3, 4, 2, 9, seed=41)
@@ -38,7 +40,7 @@ def test_buffer_passthrough():
 
 def test_value_bounds_respected():
     inst = generate(3, 6, 3, 5, seed=7, min_value=2)
-    vals = [inst.value(a, g.id) for a in inst.agents for g in inst.goods]
+    vals = [v for row in values_of(inst).values() for v in row.values()]
     assert all(2 <= v <= 5 for v in vals)
 
 
@@ -112,9 +114,9 @@ def test_requested_flags_never_lost(flags):
         for name, wanted in flags.items():
             if name == "min_value":
                 assert all(
-                    inst.value(a, g.id) >= wanted
-                    for a in inst.agents
-                    for g in inst.goods
+                    v >= wanted
+                    for row in values_of(inst).values()
+                    for v in row.values()
                 )
             elif wanted:
                 assert getattr(setting, name), (flags, trial, instance_to_json(inst))

@@ -74,10 +74,12 @@ class TestInstanceConstruction:
         assert inst.rounds == (("g1", "g2"), ("g3",))
 
     def test_value_lookup(self):
-        inst = make_instance([[(1, 2)], [(3, 4)]])
-        assert inst.value(1, "g2") == F(3)
-        assert inst.value(2, "g2") == F(4)
-        assert inst.bundle_value(2, ["g1", "g2"]) == F(6)
+        # denominators 2, 3 and 1 give a scale of 6
+        inst = make_instance([[(F(1, 2), F(1, 3))], [(3, F(1, 2))]])
+        assert inst.scale == 6
+        assert inst.value_table == {1: {"g1": 3, "g2": 18}, 2: {"g1": 2, "g2": 3}}
+        rows = inst.value_table.values()
+        assert all(type(v) is int for row in rows for v in row.values())
 
     def test_agents_are_one_based(self):
         inst = make_instance([[(1, 2, 3)]])

@@ -12,6 +12,8 @@ from tempfair.generators import generate
 from tempfair.model import TemporalInstance, prefix
 from tempfair.solvers import SOLVERS
 
+from oracles import values_of
+
 
 def make_instance(value_rounds, buffer=1):
     return TemporalInstance.from_value_rounds(value_rounds, buffer=buffer)
@@ -247,12 +249,13 @@ class TestScheduledBlocks:
             T = rng.randint(n, 3 * n)
             instance = make_instance([day] * T, buffer=(n + 1) // 2)
             alloc = certify("tef1-identical-days-scheduled", instance)
+            values = values_of(instance)
             for t in range(n, T + 1, n):
                 bundles = prefix(instance, alloc, t)
                 for i in instance.agents:
-                    mine = instance.bundle_value(i, bundles[i - 1])
+                    mine = sum(values[i][g] for g in bundles[i - 1])
                     for j in instance.agents:
-                        theirs = instance.bundle_value(i, bundles[j - 1])
+                        theirs = sum(values[i][g] for g in bundles[j - 1])
                         assert mine >= theirs, (t, i, j, alloc)
 
     def test_single_agent_degenerates_to_arrival(self):
@@ -266,11 +269,12 @@ class TestScheduledTwoAgents:
         day = [(1, 4), (6, 2), (3, 3)]
         instance = make_instance([day] * 4, buffer=2)
         alloc = certify("tefx-identical-days-scheduled-two", instance)
+        values = values_of(instance)
         for t in (2, 4):
             bundles = prefix(instance, alloc, t)
             for i in (1, 2):
-                assert instance.bundle_value(i, bundles[0]) == \
-                    instance.bundle_value(i, bundles[1]), (t, alloc)
+                assert sum(values[i][g] for g in bundles[0]) == \
+                    sum(values[i][g] for g in bundles[1]), (t, alloc)
 
     def test_odd_horizon_with_skewed_day(self):
         # one cheap and one expensive good per day forces uneven splits
