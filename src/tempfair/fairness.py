@@ -4,7 +4,9 @@ All comparisons are exact: they sum the integers of the instance's
 ``value_table`` (each value times the instance's ``scale``), and only a
 witness's shortfall turns back into a Fraction, divided by ``scale``.  The
 temporal variants demand the property at every prefix: the bundles of
-goods handed out in rounds 1..t, for each t up to the horizon.
+goods handed out in rounds 1..t, for each t up to the horizon.  Each
+prefix is the one before plus the goods placed at t, so the checker grows
+its bundles in place, kept in good order.
 
 Three envy notions on bundles, each with the removal quantified over the
 envied bundle:
@@ -23,6 +25,7 @@ in the defining partitions.
 from __future__ import annotations
 
 import math
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -34,7 +37,6 @@ from .model import (
     TemporalInstance,
     good_key,
     parse_rational,
-    prefix,
     validate,
 )
 
@@ -117,32 +119,28 @@ def _alphas(instance: TemporalInstance, alpha) -> list[Fraction]:
 
 
 def _envy_violation(instance, bundles, mode, alphas=None):
-    """First (envious, envied, removed, shortfall) in index order, or None.
+    """First (envious, envied, removed, gap, den) in index order, or None.
 
-    mode "ef1" uses the best removal, "efx" the cheapest.  alphas scales the
-    envied side (efx removal) when given.  The test runs on table integers,
-    with alpha = num/den as ``den * own < num * rest``.
+    mode "ef1" removes the best good, "efx" the cheapest: the first binding
+    one in bundle order.  alphas scales the envied side (efx removal) when
+    given.  On table integers, with alpha = num/den, envy is
+    ``gap = num * rest - den * own > 0`` and the shortfall gap/(den*scale).
     """
     table = instance.value_table
     own = [sum(table[i][g] for g in bundles[i - 1]) for i in instance.agents]
+    pick = max if mode == "ef1" else min
     for i in instance.agents:
         row = table[i]
         num, den = alphas[i - 1].as_integer_ratio() if alphas else (1, 1)
         for j in instance.agents:
-            if i == j:
+            other = bundles[j - 1]
+            if i == j or not other:
                 continue
-            other = list(bundles[j - 1])
-            if not other:
-                continue
-            if mode == "ef1":
-                top = max(row[g] for g in other)
-                removed = min((g for g in other if row[g] == top), key=good_key)
-            else:
-                removed = min(other, key=lambda g: (row[g], good_key(g)))
+            removed = pick(other, key=row.__getitem__)
             rest = sum(row[g] for g in other) - row[removed]
             gap = num * rest - den * own[i - 1]
             if gap > 0:
-                return (i, j, removed, Fraction(gap, den * instance.scale))
+                return (i, j, removed, gap, den)
     return None
 
 
@@ -263,14 +261,15 @@ def _mms_share_search(vals: tuple[int, ...], n_parts: int) -> int:
 
 
 def _mms_violation(instance, bundles, cap=16):
-    """First agent whose bundle misses their maximin share over the pool."""
+    """First agent whose bundle misses their maximin share over the pool,
+    as ``(agent, None, None, gap, 1)`` with the gap in table integers."""
     pool = [gid for b in bundles for gid in b]
     for i in instance.agents:
         row = instance.value_table[i]
         share = mms_share([row[g] for g in pool], instance.n_agents, cap=cap)
         have = sum(row[g] for g in bundles[i - 1])
         if have < share:
-            return (i, (share - have) / instance.scale)
+            return (i, None, None, share - have, 1)
     return None
 
 
@@ -283,7 +282,11 @@ def is_mms(instance: TemporalInstance, bundles: Bundles, cap: int | None = 16) -
 
 
 def prefix_violation(instance, bundles, concept: Concept):
-    """Violation tuple for one prefix, or None; shared by checker and search."""
+    """Violation at one prefix, or None; shared by checker and search.
+
+    A violation is ``(envious, envied, removed, gap, den)``, shortfall
+    gap/(den*scale); a share-based one has no envied agent or removed good.
+    """
     if concept.kind == "tef1":
         return _envy_violation(instance, bundles, "ef1")
     if concept.kind == "tefx":
@@ -292,11 +295,7 @@ def prefix_violation(instance, bundles, concept: Concept):
         alphas = _alphas(instance, concept.alpha)
         return _envy_violation(instance, bundles, "efx", alphas)
     if concept.kind == "tmms":
-        hit = _mms_violation(instance, bundles)
-        if hit is None:
-            return None
-        i, shortfall = hit
-        return (i, None, None, shortfall)
+        return _mms_violation(instance, bundles)
     raise ValidationError(f"unknown concept kind {concept.kind!r}")
 
 
@@ -309,22 +308,27 @@ def check_temporal(
 
     The allocation is validated first (ownership, placement windows).
     Returns the first failing round with a witness, or a holding verdict.
-    Prefixes only change on rounds where something is handed out, so only
-    those need examining.
+    One sweep over the placement rounds grows the bundles; prefixes only
+    change on rounds where something is handed out, so only those are
+    examined.  Bundles in good order make ties name the smallest good id.
     """
     validate(instance, allocation)
-    change_rounds = sorted(set(allocation.placement.values()))
-    for t in change_rounds:
-        bundles = prefix(instance, allocation, t)
+    landing: dict[int, list[str]] = {}
+    for gid, t in allocation.placement.items():
+        landing.setdefault(t, []).append(gid)
+    bundles: list[list[str]] = [[] for _ in instance.agents]
+    for t in sorted(landing):
+        for gid in landing[t]:
+            insort(bundles[allocation.owner[gid] - 1], gid, key=good_key)
         hit = prefix_violation(instance, bundles, concept)
         if hit is not None:
-            envious, envied, removed, shortfall = hit
+            envious, envied, removed, gap, den = hit
             return Verdict(
                 holds=False,
                 round=t,
                 envious=envious,
                 envied=envied,
                 removed_good=removed,
-                shortfall=shortfall,
+                shortfall=Fraction(gap, den * instance.scale),
             )
     return Verdict(holds=True)

@@ -307,9 +307,6 @@ def classify(instance: TemporalInstance) -> SettingClass:
         levels = (positive[0], positive[-1])
     else:
         levels = None
-    if not instance.goods:
-        bi_valued = False
-        levels = None
 
     identical_valuation = all(
         len(set(g.values)) == 1 for g in instance.goods

@@ -15,7 +15,7 @@ from math import prod
 
 from .errors import SearchCapExceeded
 from .fairness import Concept, prefix_violation
-from .model import TemporalAllocation, TemporalInstance, good_key, prefix
+from .model import TemporalAllocation, TemporalInstance, good_key
 
 
 # 3^14 assignments is the reference budget; caps for other agent counts
@@ -77,7 +77,9 @@ def search(
     lexicographically least one.  Among agents whose bundles are still
     empty, those with identical valuation rows are interchangeable, so only
     the lowest-indexed one of each group is tried; this loses no outcomes
-    and returns the same first witness the unreduced order would.
+    and returns the same first witness the unreduced order would.  Each
+    decision appends the good to its owner's bundle in every prefix from
+    its placement round on, and backtracking pops it: none is rebuilt.
     """
     goods = sorted(instance.goods, key=lambda g: (g.arrival, good_key(g.id)))
     m = len(goods)
@@ -98,56 +100,49 @@ def search(
         windows.append(range(g.arrival, last + 1))
     space_bound = prod(n * len(w) for w in windows) if m else 1
 
-    # after good k, rounds arrival(k) .. arrival(k+1)-1 have no pending
-    # arrivals left, so their prefixes are final and safe to check
-    span_after: list[tuple[int, int] | None] = [None] * m
-    for k in range(m):
-        here = goods[k].arrival
-        if k + 1 == m:
-            span_after[k] = (here, horizon)
-        elif goods[k + 1].arrival > here:
-            span_after[k] = (here, goods[k + 1].arrival - 1)
+    # good k closes rounds arrival(k) .. arrival(k+1)-1: no good left to
+    # decide can land in them, so their prefixes are final and checkable
+    closes = [
+        range(g.arrival, goods[k + 1].arrival if k + 1 < m else horizon + 1)
+        for k, g in enumerate(goods)
+    ]
 
     rows = {
         i: tuple(row[g.id] for g in goods)
         for i, row in instance.value_table.items()
     }
+    # held[t][i - 1]: agent i's goods placed by round t; landed[t]: goods
+    # placed at t.  Each try overwrites owner and placed; a witness sets all.
+    held = [[[] for _ in instance.agents] for _ in range(horizon + 1)]
+    landed = [0] * (horizon + 1)
     owner: dict[str, int] = {}
     placed: dict[str, int] = {}
     nodes = 0
-
-    def prefix_ok(t: int) -> bool:
-        bundles = prefix(instance, TemporalAllocation(placed, owner), t)
-        return prefix_violation(instance, bundles, concept) is None
-
-    def spans_ok(k: int) -> bool:
-        span = span_after[k]
-        if span is None:
-            return True
-        lo, hi = span
-        landed = set(placed.values())
-        return all(prefix_ok(t) for t in range(lo, hi + 1) if t in landed)
 
     def descend(k: int) -> bool:
         nonlocal nodes
         if k == m:
             return True
         gid = goods[k].id
-        occupied = set(owner.values())
         for t in windows[k]:
             seen_rows = set()
             for i in instance.agents:
-                if i not in occupied:
+                if not held[horizon][i - 1]:  # i holds nothing yet
                     if rows[i] in seen_rows:
                         continue
                     seen_rows.add(rows[i])
                 nodes += 1
                 owner[gid] = i
                 placed[gid] = t
-                if spans_ok(k) and descend(k + 1):
+                for bundles in held[t:]:
+                    bundles[i - 1].append(gid)
+                landed[t] += 1
+                if all(not landed[s] or prefix_violation(instance, held[s], concept) is None
+                       for s in closes[k]) and descend(k + 1):
                     return True
-                del owner[gid]
-                del placed[gid]
+                for bundles in held[t:]:
+                    bundles[i - 1].pop()
+                landed[t] -= 1
         return False
 
     if descend(0):

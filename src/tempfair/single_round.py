@@ -108,8 +108,9 @@ def _rotate_cycle(bundles: dict[int, list[str]], cycle: Sequence[int]) -> None:
         bundles[agent] = bundle
 
 
-def _decycle(values: ValueTable, bundles: dict[int, list[str]], agents: Sequence[int]) -> None:
-    """Rotate bundles along envy cycles until the envy graph is acyclic.
+def _decycle(values: ValueTable, bundles: dict[int, list[str]], agents: Sequence[int]):
+    """Rotate bundles along envy cycles until the envy graph is acyclic,
+    and return its final edges.
 
     Each rotation strictly raises the total utility sum, which bounds the
     loop; the assert guards against a rotation that fails to.
@@ -118,7 +119,7 @@ def _decycle(values: ValueTable, bundles: dict[int, list[str]], agents: Sequence
         edges = _envy_edges(values, bundles, agents)
         cycle = _find_cycle(edges, agents)
         if cycle is None:
-            return
+            return edges
         before = sum(_bundle_value(values, i, bundles[i]) for i in agents)
         _rotate_cycle(bundles, cycle)
         after = sum(_bundle_value(values, i, bundles[i]) for i in agents)
@@ -141,9 +142,7 @@ def envy_cycle_elimination(
     bundles: dict[int, list[str]] = {i: [] for i in agents}
     remaining = set(goods)
     while remaining:
-        _decycle(values, bundles, agents)
-        edges = _envy_edges(values, bundles, agents)
-        envied = {j for _, j in edges}
+        envied = {j for _, j in _decycle(values, bundles, agents)}
         receiver = min(i for i in agents if i not in envied)
         g = _best_good(values, receiver, remaining)
         remaining.discard(g)
@@ -191,25 +190,15 @@ def envy_ordered_pick_rounds(
     for cls in class_order:
         members = by_class[cls]
         rep = members[0]
-        _decycle(values, bundles, agents)
-        edges = _envy_edges(values, bundles, agents)
-        # Kahn topological order, smallest agent first among the ready ones
-        indeg = {i: 0 for i in agents}
-        succ: dict[int, list[int]] = {i: [] for i in agents}
-        for i, j in edges:
-            indeg[j] += 1
-            succ[i].append(j)
-        ready = sorted(i for i in agents if indeg[i] == 0)
+        edges = set(_decycle(values, bundles, agents))
+        # least topological order: the smallest agent nobody left envies
         sigma = []
-        while ready:
-            u = ready.pop(0)
-            sigma.append(u)
-            for v in succ[u]:
-                indeg[v] -= 1
-                if indeg[v] == 0:
-                    ready.append(v)
-            ready.sort()
-        assert len(sigma) == len(agents), "envy graph still cyclic after decycle"
+        left = sorted(agents)
+        while left:
+            free = [j for j in left if not any((i, j) in edges for i in left)]
+            assert free, "envy graph still cyclic after decycle"
+            sigma.append(free[0])
+            left.remove(free[0])
 
         takers = []
         for i in sigma:

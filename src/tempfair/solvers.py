@@ -265,10 +265,10 @@ def solve_half_tefx_genbinary(instance: TemporalInstance, trace=None) -> Tempora
             running[i] += 1
     supply_after.reverse()
 
-    # counts[i][j]: goods in j's bundle that i values; zeroed[i][j]: j's
-    # bundle holds a good i values at nothing
+    # counts[i][j]: goods in j's bundle that i values; size[j]: goods in
+    # j's bundle, so size[j] > counts[i][j] when it holds one i values at 0
     counts = [[0] * (n + 1) for _ in range(n + 1)]
-    zeroed = [[False] * (n + 1) for _ in range(n + 1)]
+    size = [0] * (n + 1)
     failed: set[tuple] = set()
 
     def ok_at_round_end() -> bool:
@@ -277,14 +277,14 @@ def solve_half_tefx_genbinary(instance: TemporalInstance, trace=None) -> Tempora
             for j in agents:
                 if i == j:
                     continue
-                if counts[i][j] > roof + (0 if zeroed[i][j] else 1):
+                if counts[i][j] > roof + (size[j] == counts[i][j]):
                     return False
         return True
 
     def state_key() -> tuple:
         return (
             tuple(tuple(row[1:]) for row in counts[1:]),
-            tuple(tuple(row[1:]) for row in zeroed[1:]),
+            tuple(tuple(size[j] > row[j] for j in agents) for row in counts[1:]),
         )
 
     def candidates(k: int) -> list[int]:
@@ -312,20 +312,14 @@ def solve_half_tefx_genbinary(instance: TemporalInstance, trace=None) -> Tempora
             return
         support = positive_for[order[k]]
         for receiver in candidates(k):
-            flipped = []
-            for i in agents:
-                if i in support:
-                    counts[i][receiver] += 1
-                elif not zeroed[i][receiver]:
-                    zeroed[i][receiver] = True
-                    flipped.append(i)
+            size[receiver] += 1
+            for i in support:
+                counts[i][receiver] += 1
             if k not in round_end or ok_at_round_end():
                 yield receiver
-            for i in agents:
-                if i in support:
-                    counts[i][receiver] -= 1
-            for i in flipped:
-                zeroed[i][receiver] = False
+            size[receiver] -= 1
+            for i in support:
+                counts[i][receiver] -= 1
         if k in round_start:
             failed.add((k, state_key()))
 
@@ -484,7 +478,9 @@ def solve_rr_bivalued(instance: TemporalInstance, trace=None) -> TemporalAllocat
 
 
 def bivalued_bound(instance: TemporalInstance) -> Fraction:
-    low, high = classify(instance).bi_valued_levels
+    setting = classify(instance)
+    _require(setting.bi_valued, "needs exactly two positive value levels")
+    low, high = setting.bi_valued_levels
     return low / high
 
 

@@ -236,6 +236,11 @@ class TestClassify:
         inst = make_instance([[(0, 3), (2, 3)]])
         assert not classify(inst).bi_valued
 
+    def test_no_goods_is_not_bi_valued(self):
+        got = classify(instance_from_json({"agents": 2, "rounds": [[], []], "values": {}}))
+        assert not got.bi_valued
+        assert got.bi_valued_levels is None
+
     def test_single_positive_level_is_both(self):
         inst = make_instance([[(4, 4), (4, 4)]])
         got = classify(inst)

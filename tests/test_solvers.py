@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from tempfair.errors import PreconditionError, SolverFailure
-from tempfair.fairness import check_temporal, prefix_violation
+from tempfair.fairness import check_temporal
 from tempfair.generators import generate
 from tempfair.model import TemporalInstance, prefix
 from tempfair.solvers import SOLVERS
@@ -114,6 +114,12 @@ class TestPreconditions:
             SOLVERS["rr-bivalued"].run(make_instance([[(0, 2)]]))
         with pytest.raises(PreconditionError):
             SOLVERS["rr-bivalued"].run(make_instance([[(1, 2), (3, 1)]]))
+
+    def test_bivalued_bound_gates(self):
+        # the concept list reads the two levels, so it refuses the same
+        # instances the solver does
+        with pytest.raises(PreconditionError, match="two positive value levels"):
+            SOLVERS["rr-bivalued"].concepts(make_instance([[(0, 1)]]))
 
     def test_scheduled_identical_days_gates(self):
         day = [(1, 2, 3)]
