@@ -4,6 +4,8 @@ Every subcommand prints a single JSON document on stdout so output can be
 piped or pinned in golden files.  Exit code 0 means success and a true
 verdict, 1 a false verdict (a failed check, a non-existent allocation, a
 fixture mismatch, a solver dead end), 2 a usage or validation problem.
+``main`` may be called repeatedly in one process; the argument parser is
+built on the first call and reused.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from .errors import SolverFailure, TempfairError
 from .fairness import Concept, check_temporal
@@ -140,7 +143,13 @@ def _cmd_verify_paper(args) -> int:
     return 1
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared afterwards.
+
+    Parsing leaves no state behind in it, so ``main`` may be called any
+    number of times in one process; callers must not modify it.
+    """
     parser = argparse.ArgumentParser(
         prog="tempfair",
         description="Round-by-round fair division: solve, check, search, generate.",

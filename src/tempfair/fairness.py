@@ -281,18 +281,29 @@ def is_mms(instance: TemporalInstance, bundles: Bundles, cap: int | None = 16) -
     return _mms_violation(instance, bundles, cap=cap) is None
 
 
-def prefix_violation(instance, bundles, concept: Concept):
+def concept_alphas(instance: TemporalInstance, concept: Concept) -> list[Fraction] | None:
+    """The per-agent alphas of an ``atefx`` concept, checked against the
+    instance (one per agent, each in (0, 1]); None for other concepts."""
+    if concept.kind != "atefx":
+        return None
+    return _alphas(instance, concept.alpha)
+
+
+def prefix_violation(instance, bundles, concept: Concept, alphas=None):
     """Violation at one prefix, or None; shared by checker and search.
 
     A violation is ``(envious, envied, removed, gap, den)``, shortfall
     gap/(den*scale); a share-based one has no envied agent or removed good.
+    Callers that examine many prefixes pass ``concept_alphas`` once as
+    ``alphas``; without it an ``atefx`` concept's alphas are read here.
     """
     if concept.kind == "tef1":
         return _envy_violation(instance, bundles, "ef1")
     if concept.kind == "tefx":
         return _envy_violation(instance, bundles, "efx")
     if concept.kind == "atefx":
-        alphas = _alphas(instance, concept.alpha)
+        if alphas is None:
+            alphas = _alphas(instance, concept.alpha)
         return _envy_violation(instance, bundles, "efx", alphas)
     if concept.kind == "tmms":
         return _mms_violation(instance, bundles)
@@ -313,6 +324,7 @@ def check_temporal(
     examined.  Bundles in good order make ties name the smallest good id.
     """
     validate(instance, allocation)
+    alphas = concept_alphas(instance, concept)
     landing: dict[int, list[str]] = {}
     for gid, t in allocation.placement.items():
         landing.setdefault(t, []).append(gid)
@@ -320,7 +332,7 @@ def check_temporal(
     for t in sorted(landing):
         for gid in landing[t]:
             insort(bundles[allocation.owner[gid] - 1], gid, key=good_key)
-        hit = prefix_violation(instance, bundles, concept)
+        hit = prefix_violation(instance, bundles, concept, alphas)
         if hit is not None:
             envious, envied, removed, gap, den = hit
             return Verdict(

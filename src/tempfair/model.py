@@ -4,7 +4,9 @@ Goods arrive over a horizon of ``T`` rounds.  Every good carries one value
 per agent: an exact Fraction at the boundary (floats and bools are
 rejected wherever values enter), and inside an integer, that value times
 the instance's ``scale``, the LCM of all value denominators.  Every layer
-sums and compares the integers of ``value_table``.  An allocation maps
+sums and compares the integers of ``value_table``, ``classify`` included.
+A load parses each distinct string literal once, with ``parse_rational``,
+and builds the table on integers alone.  An allocation maps
 each good to the round it is actually handed out (its placement, at most
 ``buffer - 1`` rounds after arrival) and to the agent who owns it.
 
@@ -59,6 +61,21 @@ def parse_rational(text) -> Fraction:
     raise ValidationError(f"not a rational value: {text!r}")
 
 
+class _Literals(dict):
+    """String literal -> its Fraction, each parsed once by ``parse_rational``.
+
+    One per load.  Only strings are keys: ``True == 1`` and both hash
+    alike, so a mixed key would let a bool through as the value 1.
+    """
+
+    def __missing__(self, text: str) -> Fraction:
+        value = self[text] = parse_rational(text)
+        return value
+
+    def vector(self, vec) -> tuple[Fraction, ...]:
+        return tuple([self[v] if type(v) is str else parse_rational(v) for v in vec])
+
+
 @dataclass(frozen=True)
 class Good:
     """One indivisible good: an id, an arrival round, and per-agent values."""
@@ -110,7 +127,7 @@ class TemporalInstance:
                     raise ValidationError(
                         f"good {g.id!r} has non-Fraction value {v!r}"
                     )
-                if v < 0:
+                if v.numerator < 0:
                     raise ValidationError(f"good {g.id!r} has negative value")
 
     @property
@@ -141,7 +158,10 @@ class TemporalInstance:
         agent then good id.  The one value lookup of every layer."""
         scale = self.scale
         return {
-            i: {g.id: int(g.values[i - 1] * scale) for g in self.goods}
+            i: {
+                g.id: (v := g.values[i - 1]).numerator * (scale // v.denominator)
+                for g in self.goods
+            }
             for i in self.agents
         }
 
@@ -160,6 +180,7 @@ class TemporalInstance:
         """
         total = sum(len(r) for r in value_rounds)
         width = len(str(total)) if total else 1
+        literals = _Literals()
         n = None
         goods = []
         counter = 0
@@ -172,7 +193,7 @@ class TemporalInstance:
                     Good(
                         id=f"g{counter:0{width}d}",
                         arrival=t,
-                        values=tuple(parse_rational(v) for v in vec),
+                        values=literals.vector(vec),
                     )
                 )
         if n is None:
@@ -289,28 +310,33 @@ class SettingClass:
 def classify(instance: TemporalInstance) -> SettingClass:
     """Detect which structured classes an instance falls into.
 
-    Identical days compares the multiset of value vectors round by round.
-    House shape means exactly n goods arrive each round.
+    Reads the integer ``value_table``: ``scale > 0`` is a common factor of
+    every entry, so equality and order are those of the values, and the
+    levels are returned as ``Fraction(level, scale)``.  Identical days
+    compares the multiset of value vectors round by round.  House shape
+    means exactly n goods arrive each round.
     """
-    day_multisets = []
-    for round_ids in instance.rounds:
-        vecs = sorted(instance.goods_by_id[gid].values for gid in round_ids)
-        day_multisets.append(vecs)
+    rows = list(instance.value_table.values())
+    # each row lists the goods in instance order, so zip gives per-good vectors
+    vector = dict(zip((g.id for g in instance.goods), zip(*(r.values() for r in rows))))
+    day_multisets = [
+        sorted(vector[gid] for gid in round_ids) for round_ids in instance.rounds
+    ]
     identical_days = all(m == day_multisets[0] for m in day_multisets[1:])
 
-    distinct = {v for g in instance.goods for v in g.values}
+    distinct = set().union(*(r.values() for r in rows))
     positive = sorted(v for v in distinct if v > 0)
+    scale = instance.scale
     gen_binary = len(positive) <= 1
-    gen_binary_level = positive[0] if (gen_binary and positive) else None
+    gen_binary_level = Fraction(positive[0], scale) if (gen_binary and positive) else None
     bi_valued = 0 not in distinct and len(distinct) >= 1 and len(positive) <= 2
     if bi_valued and positive:
-        levels = (positive[0], positive[-1])
+        levels = (Fraction(positive[0], scale), Fraction(positive[-1], scale))
     else:
         levels = None
 
-    identical_valuation = all(
-        len(set(g.values)) == 1 for g in instance.goods
-    )
+    # every good values the same for all agents exactly when the rows match
+    identical_valuation = all(r == rows[0] for r in rows[1:])
     house = all(
         len(round_ids) == instance.n_agents for round_ids in instance.rounds
     )
@@ -360,6 +386,7 @@ def instance_from_json(data: dict) -> TemporalInstance:
         raise ValidationError("'values' must map good ids to value vectors")
     goods = []
     seen = set()
+    literals = _Literals()
     for t, round_ids in enumerate(rounds, start=1):
         if not isinstance(round_ids, list):
             raise ValidationError(f"round {t} is not a list of good ids")
@@ -375,7 +402,7 @@ def instance_from_json(data: dict) -> TemporalInstance:
                 Good(
                     id=gid,
                     arrival=t,
-                    values=tuple(parse_rational(v) for v in vec),
+                    values=literals.vector(vec),
                 )
             )
             seen.add(gid)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import prod
 
 from .errors import SearchCapExceeded
-from .fairness import Concept, prefix_violation
+from .fairness import Concept, concept_alphas, prefix_violation
 from .model import TemporalAllocation, TemporalInstance, good_key
 
 
@@ -89,6 +89,7 @@ def search(
         raise SearchCapExceeded(
             f"{m} goods with {n} agents exceeds the search cap of {cap}"
         )
+    alphas = concept_alphas(instance, concept)
 
     horizon = instance.horizon
     windows: list[range] = []
@@ -137,7 +138,7 @@ def search(
                 for bundles in held[t:]:
                     bundles[i - 1].append(gid)
                 landed[t] += 1
-                if all(not landed[s] or prefix_violation(instance, held[s], concept) is None
+                if all(not landed[s] or prefix_violation(instance, held[s], concept, alphas) is None
                        for s in closes[k]) and descend(k + 1):
                     return True
                 for bundles in held[t:]:

@@ -83,3 +83,24 @@ def values_of(instance):
         i: {g.id: g.values[i - 1] for g in instance.goods}
         for i in instance.agents
     }
+
+
+def naive_classify(instance):
+    """The setting classes as a dict of SettingClass fields, read from the
+    Fraction values: sorted value vectors per round, distinct levels and
+    per-good value sets."""
+    days = [sorted(instance.goods_by_id[gid].values for gid in ids)
+            for ids in instance.rounds]
+    distinct = {v for g in instance.goods for v in g.values}
+    positive = sorted(v for v in distinct if v > 0)
+    binary = len(positive) <= 1
+    bi_valued = 0 not in distinct and len(distinct) >= 1 and len(positive) <= 2
+    return {
+        "identical_days": all(d == days[0] for d in days[1:]),
+        "generalized_binary": binary,
+        "generalized_binary_level": positive[0] if binary and positive else None,
+        "bi_valued": bi_valued,
+        "bi_valued_levels": (positive[0], positive[-1]) if bi_valued and positive else None,
+        "identical_valuation": all(len(set(g.values)) == 1 for g in instance.goods),
+        "house_allocation": all(len(ids) == instance.n_agents for ids in instance.rounds),
+    }

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from tempfair.cli import main
+from tempfair.cli import build_parser, main
 from tempfair.model import load_instance
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -194,6 +194,38 @@ def test_unknown_subcommand_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def fresh_process(argv):
+    proc = subprocess.run(
+        [sys.executable, "-m", "tempfair.cli", *argv],
+        capture_output=True, text=True,
+    )
+    return proc.returncode, proc.stdout
+
+
+def test_repeated_calls_share_one_parser(tmp_path, capsys):
+    # flags set on one call must not leak into the next, nor a usage error
+    assert build_parser() is build_parser()
+    solve = ["solve", str(INSTANCE), "--alg", "half-tefx-identical-days-two"]
+    search = ["search", str(TRAP), "--concept", "tefx"]
+    calls = [
+        ([*solve, "--trace"], GOLDEN / "solve_half_tefx_trace.json"),
+        (solve, None),
+        ([*search, "--schedule"], GOLDEN / "search_trap_buffered.json"),
+        (search, GOLDEN / "search_trap_plain.json"),
+    ]
+    for argv, golden in calls:
+        with pytest.raises(SystemExit) as exc:
+            main(["frobnicate"])
+        assert exc.value.code == 2
+        code, out = run_to_file(tmp_path, argv)
+        if golden is None:
+            fresh_code, fresh_out = fresh_process(argv)
+            assert (code, out.read_text()) == (fresh_code, fresh_out)
+        else:
+            assert out.read_text() == golden.read_text()
+    capsys.readouterr()
 
 
 def test_module_entry_point():

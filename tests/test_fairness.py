@@ -26,7 +26,8 @@ from tempfair.fairness import (
     mms_share,
     prefix_violation,
 )
-from tempfair.model import TemporalAllocation, TemporalInstance, prefix
+from tempfair.model import TemporalAllocation, TemporalInstance, instance_from_json, prefix
+from tempfair.search import search
 
 from oracles import (
     naive_alpha_efx,
@@ -129,6 +130,24 @@ def test_alpha_validation():
         is_alpha_efx(inst, packed, F(3, 2))
     with pytest.raises(ValidationError):
         is_alpha_efx(inst, packed, [F(1, 2)])  # wrong length
+
+
+@pytest.mark.parametrize("goods", [0, 2])
+def test_alpha_list_length_checked_once_per_call(goods):
+    # the alphas are read before any prefix, so the length is checked even
+    # when no prefix is examined
+    inst = instance_from_json({
+        "agents": 2,
+        "rounds": [[f"g{k}" for k in range(1, goods + 1)]],
+        "values": {f"g{k}": ["1", "1"] for k in range(1, goods + 1)},
+    })
+    owner = {g.id: 1 for g in inst.goods}
+    alloc = TemporalAllocation(placement=arrival_placement(inst), owner=owner)
+    concept = Concept("atefx", (F(1), F(1), F(1)))
+    with pytest.raises(ValidationError, match="3 alpha values for 2 agents"):
+        check_temporal(inst, alloc, concept)
+    with pytest.raises(ValidationError, match="3 alpha values for 2 agents"):
+        search(inst, concept)
 
 
 def test_tmms_matches_oracle():

@@ -12,8 +12,12 @@ and compares every layer's output before and after:
 * relabelling agents keeps each verdict's outcome and round and each
   search's existence, and each relabelled witness is a real violation;
 * instance and allocation JSON round-trip exactly.
+
+One more property draws values with large prime denominators: the integer
+``value_table`` and ``classify`` agree with their Fraction references.
 """
 
+import dataclasses
 import json
 from fractions import Fraction as F
 
@@ -39,7 +43,14 @@ from tempfair.model import (
 from tempfair.search import search
 from tempfair.solvers import SOLVERS
 
-from oracles import naive_alpha_efx, naive_ef1, naive_efx, naive_mms_share, values_of
+from oracles import (
+    naive_alpha_efx,
+    naive_classify,
+    naive_ef1,
+    naive_efx,
+    naive_mms_share,
+    values_of,
+)
 
 MAX_GOODS = 8
 rationals = st.fractions(min_value=0, max_value=12, max_denominator=12)
@@ -47,8 +58,15 @@ positives = st.fractions(min_value=F(1, 12), max_value=12, max_denominator=12)
 alphas = st.fractions(min_value=F(1, 12), max_value=1, max_denominator=12)
 
 
+# large prime denominators, so the scale is a product of several of them
+coprime_values = st.builds(
+    F, st.integers(0, 10**12), st.sampled_from([1, 7919, 104729, 999983, 2**31 - 1])
+)
+coprime_levels = coprime_values.filter(bool)
+
+
 @st.composite
-def instances(draw):
+def instances(draw, rationals=rationals, positives=positives):
     """An instance, often with one of the structures the solvers need."""
     n = draw(st.integers(2, 3))
     horizon = draw(st.integers(1, 4))
@@ -260,3 +278,13 @@ def test_json_round_trips(case):
     assert json.dumps(instance_to_json(instance_from_json(json.loads(text)))) == text
     data = json.loads(json.dumps(allocation_to_json(alloc)))
     assert allocation_from_json(data) == alloc
+
+
+@settings(max_examples=200)
+@given(instances(coprime_values, coprime_levels))
+def test_integer_table_and_classify_match_fraction_references(inst):
+    scale = inst.scale
+    assert inst.value_table == {
+        i: {g.id: int(g.values[i - 1] * scale) for g in inst.goods} for i in inst.agents
+    }
+    assert dataclasses.asdict(classify(inst)) == naive_classify(inst)

@@ -359,15 +359,57 @@ def _allocation_json(**changes):
     (instance_from_json, _instance_json(agents=True, values={"g1": ["1"]})),
     (instance_from_json, _instance_json(buffer=True)),
     (instance_from_json, _instance_json(rounds=3)),
+    # a bool beside an equal literal: True == 1 and both hash alike
+    (instance_from_json, _instance_json(values={"g1": ["1", True]})),
+    (instance_from_json, _instance_json(values={"g1": [True, "1"]})),
+    (instance_from_json, _instance_json(values={"g1": [1, True]})),
+    (make_instance, [[(1, 1)], [(True, 1)]]),
     (allocation_from_json, _allocation_json(placement=[1])),
     (allocation_from_json, _allocation_json(owner=[1])),
     (allocation_from_json, _allocation_json(placement={"g1": True})),
     (allocation_from_json, _allocation_json(owner={"g1": True})),
 ], ids=[
     "vector-string", "vector-int", "values-list", "agents-bool",
-    "buffer-bool", "rounds-int", "placement-list", "owner-list",
+    "buffer-bool", "rounds-int", "str-then-bool", "bool-then-str",
+    "int-then-bool", "value-rounds-int-then-bool", "placement-list", "owner-list",
     "placement-bool", "owner-bool",
 ])
 def test_loaders_reject_malformed_shapes(load, data):
     with pytest.raises(ValidationError):
         load(data)
+
+
+@pytest.mark.parametrize("literal, message", [
+    (1.5, "float value 1.5 rejected; use a string like '1/3'"),
+    ("1e3", "exponent notation rejected: '1e3'"),
+    ("2/0", "bad rational literal '2/0'"),
+    ("x", "bad rational literal 'x'"),
+])
+def test_loaders_keep_literal_messages(literal, message):
+    for load, data in [
+        (instance_from_json, _instance_json(values={"g1": ["1", literal]})),
+        (make_instance, [[("1", "1")], [("1", literal)]]),
+    ]:
+        with pytest.raises(ValidationError) as exc:
+            load(data)
+        assert str(exc.value) == message
+
+
+def test_literal_spellings_load_equal():
+    want = instance_from_json(_instance_json(values={"g1": ["3", "3"]}))
+    for vec in ([" 3 ", 3], [3, " 3 "], ["3", 3]):
+        assert instance_from_json(_instance_json(values={"g1": vec})) == want
+
+
+def test_values_are_parse_rational_of_each_literal():
+    # repeats and different spellings of one value, in both loaders
+    literals = ["1/2", "2/4", "0.5", " 1/2", "3", 3, " 3 ", "0", "-0",
+                "7/3", "7/3", "1.50", F(5, 6), "5/6"]
+    vectors = [(a, b) for a, b in zip(literals, reversed(literals))]
+    ids = [f"g{k}" for k in range(1, len(vectors) + 1)]
+    data = {"agents": 2, "rounds": [ids],
+            "values": {gid: list(vec) for gid, vec in zip(ids, vectors)}}
+    for inst in (instance_from_json(data), make_instance([vectors])):
+        for g, vec in zip(inst.goods, vectors):
+            assert g.values == tuple(parse_rational(v) for v in vec)
+            assert all(type(v) is F for v in g.values)
