@@ -6,7 +6,8 @@ witness's shortfall turns back into a Fraction, divided by ``scale``.  The
 temporal variants demand the property at every prefix: the bundles of
 goods handed out in rounds 1..t, for each t up to the horizon.  Each
 prefix is the one before plus the goods placed at t, so the checker grows
-its bundles in place, kept in good order.
+its bundles in place, and for the envy notions a worth matrix (see
+``fold``); ties between equal removals are broken once, at the witness.
 
 Three envy notions on bundles, each with the removal quantified over the
 envied bundle:
@@ -25,7 +26,6 @@ in the defining partitions.
 from __future__ import annotations
 
 import math
-from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -118,35 +118,48 @@ def _alphas(instance: TemporalInstance, alpha) -> list[Fraction]:
     return alphas
 
 
-def _envy_violation(instance, bundles, mode, alphas=None):
-    """First (envious, envied, removed, gap, den) in index order, or None.
+# how each envy concept keeps its binding removal: up to one good removes
+# the best good, up to any good the cheapest
+REMOVAL = {"tef1": max, "tefx": min, "atefx": min}
 
-    mode "ef1" removes the best good, "efx" the cheapest: the first binding
-    one in bundle order.  alphas scales the envied side (efx removal) when
-    given.  On table integers, with alpha = num/den, envy is
-    ``gap = num * rest - den * own > 0`` and the shortfall gap/(den*scale).
+
+def fold(row, j, value, pick):
+    """Fold a good worth ``value`` to agent i into bundle j of row i of a
+    worth matrix, whose ``worth[i - 1][j - 1]`` is agent i's ``(total,
+    binding removal)`` of bundle j, the removal None while j is empty."""
+    total, removal = row[j]
+    row[j] = (total + value, value if removal is None else pick(removal, value))
+
+
+def _worth(instance, bundles, pick):
+    """The worth matrix of fixed bundles, each bundle read once."""
+    worth = [[(0, None)] * instance.n_agents for _ in instance.agents]
+    for j, bundle in enumerate(bundles):
+        for g in bundle:
+            for row, values in zip(worth, instance.value_table.values()):
+                fold(row, j, values[g], pick)
+    return worth
+
+
+def _envy_violation(worth, alphas=None):
+    """First (envious, envied, gap, den) in index order, or None: with
+    alpha = num/den (1 without ``alphas``), agent i envies bundle j past its
+    binding removal when ``gap = num * (total - removal) - den * own > 0``.
     """
-    table = instance.value_table
-    own = [sum(table[i][g] for g in bundles[i - 1]) for i in instance.agents]
-    pick = max if mode == "ef1" else min
-    for i in instance.agents:
-        row = table[i]
+    for i, row in enumerate(worth, 1):
         num, den = alphas[i - 1].as_integer_ratio() if alphas else (1, 1)
-        for j in instance.agents:
-            other = bundles[j - 1]
-            if i == j or not other:
-                continue
-            removed = pick(other, key=row.__getitem__)
-            rest = sum(row[g] for g in other) - row[removed]
-            gap = num * rest - den * own[i - 1]
-            if gap > 0:
-                return (i, j, removed, gap, den)
+        own = row[i - 1][0]
+        for j, (total, removal) in enumerate(row, 1):
+            if removal is not None and j != i:
+                gap = num * (total - removal) - den * own
+                if gap > 0:
+                    return (i, j, gap, den)
     return None
 
 
 def is_ef1(instance: TemporalInstance, bundles: Bundles) -> bool:
     """Envy-free up to the removal of some one good from the envied bundle."""
-    return _envy_violation(instance, bundles, "ef1") is None
+    return _envy_violation(_worth(instance, bundles, max)) is None
 
 
 def is_efx(instance: TemporalInstance, bundles: Bundles) -> bool:
@@ -155,7 +168,7 @@ def is_efx(instance: TemporalInstance, bundles: Bundles) -> bool:
     The removal is quantified over every good of the envied bundle, zero
     valued ones included, so only the cheapest removal needs checking.
     """
-    return _envy_violation(instance, bundles, "efx") is None
+    return _envy_violation(_worth(instance, bundles, min)) is None
 
 
 def is_alpha_efx(instance: TemporalInstance, bundles: Bundles, alpha) -> bool:
@@ -164,7 +177,7 @@ def is_alpha_efx(instance: TemporalInstance, bundles: Bundles, alpha) -> bool:
     ``alpha`` is a Fraction in (0, 1] or a per-agent sequence of them.
     """
     alphas = _alphas(instance, alpha)
-    return _envy_violation(instance, bundles, "efx", alphas) is None
+    return _envy_violation(_worth(instance, bundles, min), alphas) is None
 
 
 def mms_share(values: Sequence[int | Fraction], n_parts: int, cap: int | None = 16) -> Fraction:
@@ -262,14 +275,14 @@ def _mms_share_search(vals: tuple[int, ...], n_parts: int) -> int:
 
 def _mms_violation(instance, bundles, cap=16):
     """First agent whose bundle misses their maximin share over the pool,
-    as ``(agent, None, None, gap, 1)`` with the gap in table integers."""
+    as ``(agent, None, gap, 1)`` with the gap in table integers."""
     pool = [gid for b in bundles for gid in b]
     for i in instance.agents:
         row = instance.value_table[i]
         share = mms_share([row[g] for g in pool], instance.n_agents, cap=cap)
         have = sum(row[g] for g in bundles[i - 1])
         if have < share:
-            return (i, None, None, share - have, 1)
+            return (i, None, share - have, 1)
     return None
 
 
@@ -278,7 +291,7 @@ def is_mms(instance: TemporalInstance, bundles: Bundles, cap: int | None = 16) -
 
     The pool is the union of the given bundles.
     """
-    return _mms_violation(instance, bundles, cap=cap) is None
+    return _mms_violation(instance, [list(b) for b in bundles], cap=cap) is None
 
 
 def concept_alphas(instance: TemporalInstance, concept: Concept) -> list[Fraction] | None:
@@ -289,25 +302,24 @@ def concept_alphas(instance: TemporalInstance, concept: Concept) -> list[Fractio
     return _alphas(instance, concept.alpha)
 
 
-def prefix_violation(instance, bundles, concept: Concept, alphas=None):
+def prefix_violation(instance, bundles, concept: Concept, alphas=None, worth=None):
     """Violation at one prefix, or None; shared by checker and search.
 
-    A violation is ``(envious, envied, removed, gap, den)``, shortfall
-    gap/(den*scale); a share-based one has no envied agent or removed good.
-    Callers that examine many prefixes pass ``concept_alphas`` once as
-    ``alphas``; without it an ``atefx`` concept's alphas are read here.
+    A violation is ``(envious, envied, gap, den)``, shortfall
+    gap/(den*scale); a share-based one has no envied agent.  Callers that
+    examine many prefixes pass ``concept_alphas`` once as ``alphas`` and,
+    for an envy concept, the prefix's grown worth matrix as ``worth``;
+    without them both are read here, the matrix from ``bundles``.
     """
-    if concept.kind == "tef1":
-        return _envy_violation(instance, bundles, "ef1")
-    if concept.kind == "tefx":
-        return _envy_violation(instance, bundles, "efx")
-    if concept.kind == "atefx":
-        if alphas is None:
-            alphas = _alphas(instance, concept.alpha)
-        return _envy_violation(instance, bundles, "efx", alphas)
     if concept.kind == "tmms":
         return _mms_violation(instance, bundles)
-    raise ValidationError(f"unknown concept kind {concept.kind!r}")
+    if concept.kind not in REMOVAL:
+        raise ValidationError(f"unknown concept kind {concept.kind!r}")
+    if alphas is None and concept.kind == "atefx":
+        alphas = _alphas(instance, concept.alpha)
+    if worth is None:
+        worth = _worth(instance, bundles, REMOVAL[concept.kind])
+    return _envy_violation(worth, alphas)
 
 
 def check_temporal(
@@ -319,28 +331,34 @@ def check_temporal(
 
     The allocation is validated first (ownership, placement windows).
     Returns the first failing round with a witness, or a holding verdict.
-    One sweep over the placement rounds grows the bundles; prefixes only
-    change on rounds where something is handed out, so only those are
-    examined.  Bundles in good order make ties name the smallest good id.
+    One sweep over the placement rounds grows the bundles (and the worth
+    matrix) by each good once; prefixes only change on rounds where
+    something is handed out, so only those are examined.  The removed good
+    is found once, at the witness: the smallest id with the binding value.
     """
     validate(instance, allocation)
     alphas = concept_alphas(instance, concept)
+    pick = REMOVAL.get(concept.kind)
+    tables = list(instance.value_table.values())
     landing: dict[int, list[str]] = {}
     for gid, t in allocation.placement.items():
         landing.setdefault(t, []).append(gid)
     bundles: list[list[str]] = [[] for _ in instance.agents]
+    worth = _worth(instance, bundles, pick) if pick else None
     for t in sorted(landing):
         for gid in landing[t]:
-            insort(bundles[allocation.owner[gid] - 1], gid, key=good_key)
-        hit = prefix_violation(instance, bundles, concept, alphas)
+            j = allocation.owner[gid] - 1
+            bundles[j].append(gid)
+            if pick:
+                for row, values in zip(worth, tables):
+                    fold(row, j, values[gid], pick)
+        hit = prefix_violation(instance, bundles, concept, alphas, worth)
         if hit is not None:
-            envious, envied, removed, gap, den = hit
-            return Verdict(
-                holds=False,
-                round=t,
-                envious=envious,
-                envied=envied,
-                removed_good=removed,
-                shortfall=Fraction(gap, den * instance.scale),
-            )
+            envious, envied, gap, den = hit
+            removed = None if envied is None else min(
+                (g for g in bundles[envied - 1]
+                 if tables[envious - 1][g] == worth[envious - 1][envied - 1][1]),
+                key=good_key)
+            return Verdict(holds=False, round=t, envious=envious, envied=envied,
+                           removed_good=removed, shortfall=Fraction(gap, den * instance.scale))
     return Verdict(holds=True)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import prod
 
 from .errors import SearchCapExceeded
-from .fairness import Concept, concept_alphas, prefix_violation
+from .fairness import REMOVAL, Concept, concept_alphas, fold, prefix_violation
 from .model import TemporalAllocation, TemporalInstance, good_key
 
 
@@ -80,6 +80,8 @@ def search(
     and returns the same first witness the unreduced order would.  Each
     decision appends the good to its owner's bundle in every prefix from
     its placement round on, and backtracking pops it: none is rebuilt.
+    An envy concept also folds it into those prefixes' worth matrices, and
+    backtracking puts back the entries it saved (a min cannot be popped).
     """
     goods = sorted(instance.goods, key=lambda g: (g.arrival, good_key(g.id)))
     m = len(goods)
@@ -118,6 +120,10 @@ def search(
     landed = [0] * (horizon + 1)
     owner: dict[str, int] = {}
     placed: dict[str, int] = {}
+    # worth[t]: the worth matrix of the prefix at t, for envy concepts
+    pick = REMOVAL.get(concept.kind)
+    worth = [[[(0, None)] * n for _ in range(n)] if pick else None
+             for _ in range(horizon + 1)]
     nodes = 0
 
     def descend(k: int) -> bool:
@@ -138,12 +144,21 @@ def search(
                 for bundles in held[t:]:
                     bundles[i - 1].append(gid)
                 landed[t] += 1
-                if all(not landed[s] or prefix_violation(instance, held[s], concept, alphas) is None
+                trail = []
+                if pick:
+                    for matrix in worth[t:]:
+                        for row, values in zip(matrix, rows.values()):
+                            trail.append((row, row[i - 1]))
+                            fold(row, i - 1, values[k], pick)
+                if all(not landed[s] or prefix_violation(
+                        instance, held[s], concept, alphas, worth[s]) is None
                        for s in closes[k]) and descend(k + 1):
                     return True
                 for bundles in held[t:]:
                     bundles[i - 1].pop()
                 landed[t] -= 1
+                for row, entry in trail:
+                    row[i - 1] = entry
         return False
 
     if descend(0):

@@ -52,6 +52,18 @@ def naive_alpha_efx(values, bundles, alphas):
     return True
 
 
+def naive_envies(values, bundles, i, j, kind, alpha=1):
+    """Whether agent i's envy of agent j's bundle breaks the notion: for
+    "ef1" no single removal settles it, for "efx" some removal does not;
+    alpha scales the envied side."""
+    if i == j or not bundles[j]:
+        return False
+    mine = sum(values[i][g] for g in bundles[i])
+    theirs = sum(values[i][g] for g in bundles[j])
+    unsettled = [mine < alpha * (theirs - values[i][g]) for g in bundles[j]]
+    return all(unsettled) if kind == "ef1" else any(unsettled)
+
+
 def naive_mms_share(vals, n_parts):
     """Max over all assignments of goods to labeled parts of the min part."""
     if len(vals) < n_parts:

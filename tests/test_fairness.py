@@ -15,10 +15,12 @@ import pytest
 
 from tempfair.errors import ValidationError
 from tempfair.fairness import (
+    REMOVAL,
     Concept,
     ShareCapExceeded,
     Verdict,
     check_temporal,
+    fold,
     is_alpha_efx,
     is_ef1,
     is_efx,
@@ -26,13 +28,20 @@ from tempfair.fairness import (
     mms_share,
     prefix_violation,
 )
-from tempfair.model import TemporalAllocation, TemporalInstance, instance_from_json, prefix
+from tempfair.model import (
+    TemporalAllocation,
+    TemporalInstance,
+    good_key,
+    instance_from_json,
+    prefix,
+)
 from tempfair.search import search
 
 from oracles import (
     naive_alpha_efx,
     naive_ef1,
     naive_efx,
+    naive_envies,
     naive_mms_share,
     naive_tmms,
     values_of,
@@ -162,6 +171,27 @@ def test_tmms_matches_oracle():
                 assert is_mms(inst, packed) == naive_tmms(
                     values, bundles, n_agents
                 ), (values, bundles)
+
+
+@pytest.mark.parametrize(
+    "checker",
+    [is_ef1, is_efx, lambda inst, b: is_alpha_efx(inst, b, F(1, 2)), is_mms],
+    ids=["ef1", "efx", "alpha-efx", "mms"],
+)
+def test_checkers_read_one_shot_bundles(checker):
+    # each bundle may be an iterator, read once, with the list's verdict
+    rng = random.Random(31)
+    goods = ["a", "b", "c"]
+    verdicts = set()
+    for _ in range(10):
+        values = random_values(rng, goods, 2)
+        inst = single_round_instance(values, goods, 2)
+        for bundles in enumerate_allocations(["g1", "g2", "g3"], 2):
+            lists = [bundles[1], bundles[2]]
+            verdict = checker(inst, lists)
+            assert checker(inst, [iter(b) for b in lists]) == verdict
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 # --- maximin shares -----------------------------------------------------------
@@ -368,49 +398,98 @@ class TestCheckTemporal:
             check_temporal(inst, alloc, Concept("tef1"))
 
     def test_random_agreement_with_per_round_oracle(self):
+        # buffered placements, ids whose good_key order is not arrival
+        # order (g10 before g9, b before a) and few value levels, so ties
+        # are common: the verdict and its witness must match a from-scratch
+        # look at every prefix
         rng = random.Random(23)
+        schemes = [lambda k: f"g{k + 1}", lambda k: "bazyxc"[k % 6] * (1 + k // 6)]
         for _ in range(150):
             n_agents = rng.randint(2, 3)
             horizon = rng.randint(1, 3)
-            rounds = [
-                [
-                    tuple(rng.randint(0, 5) for _ in range(n_agents))
-                    for _ in range(rng.randint(1, 2))
-                ]
-                for _ in range(horizon)
-            ]
-            inst = make_instance(rounds)
-            owner = {
-                g.id: rng.randint(1, n_agents) for g in inst.goods
-            }
+            buffer = rng.randint(1, 3)
+            scheme = rng.choice(schemes)
+            ids = [scheme(k) for k in rng.sample(range(12), rng.randint(1, 6))]
+            palette = rng.sample(["0", "1", "2", "1/2", "3/2"], rng.randint(2, 3))
+            rounds = [[] for _ in range(horizon)]
+            for gid in ids:
+                rounds[rng.randint(1, horizon) - 1].append(gid)
+            inst = instance_from_json({
+                "agents": n_agents,
+                "buffer": buffer,
+                "rounds": rounds,
+                "values": {g: [rng.choice(palette) for _ in range(n_agents)] for g in ids},
+            })
             alloc = TemporalAllocation(
-                placement=arrival_placement(inst), owner=owner
+                placement={
+                    g.id: rng.randint(g.arrival, min(g.arrival + buffer - 1, horizon))
+                    for g in inst.goods
+                },
+                owner={g.id: rng.randint(1, n_agents) for g in inst.goods},
             )
-            concept = rng.choice(
-                [Concept("tef1"), Concept("tefx"), Concept("atefx", F(1, 2))]
-            )
+            concept = rng.choice([
+                Concept("tef1"),
+                Concept("tefx"),
+                Concept("atefx", F(1, 2)),
+                Concept("atefx", tuple(rng.choice([F(1, 2), F(2, 3), F(1)])
+                                       for _ in range(n_agents))),
+                Concept("tmms"),
+            ])
             values = values_of(inst)
+            agents = list(inst.agents)
+            alphas = [1] * n_agents
+            if isinstance(concept.alpha, tuple):
+                alphas = list(concept.alpha)
+            elif concept.alpha is not None:
+                alphas = [concept.alpha] * n_agents
 
-            def oracle_at(t):
-                packed = prefix(inst, alloc, t)
-                bundles = {
-                    i: sorted(packed[i - 1]) for i in inst.agents
-                }
-                if concept.kind == "tef1":
-                    return naive_ef1(values, bundles)
-                if concept.kind == "tefx":
-                    return naive_efx(values, bundles)
-                return naive_alpha_efx(
-                    values, bundles, [concept.alpha] * n_agents
+            def bundles_at(t):
+                return {i: b for i, b in zip(agents, prefix(inst, alloc, t))}
+
+            def first_violation(t):
+                """(envious, envied) in index order, (agent, None) for shares."""
+                bundles = bundles_at(t)
+                if concept.kind == "tmms":
+                    pool = [g for b in bundles.values() for g in b]
+                    short = next(
+                        ((i, None) for i in agents
+                         if sum(values[i][g] for g in bundles[i])
+                         < naive_mms_share([values[i][g] for g in pool], n_agents)),
+                        None,
+                    )
+                    assert (short is None) == naive_tmms(values, bundles, n_agents)
+                    return short
+                kind = "ef1" if concept.kind == "tef1" else "efx"
+                return next(
+                    ((i, j) for i in agents for j in agents
+                     if naive_envies(values, bundles, i, j, kind, alphas[i - 1])),
+                    None,
                 )
 
-            expected = all(oracle_at(t) for t in range(1, horizon + 1))
+            rounds_hit = [t for t in range(1, horizon + 1) if first_violation(t)]
             verdict = check_temporal(inst, alloc, concept)
-            assert verdict.holds == expected
-            if not verdict.holds:
-                # reported round is the first failing one
-                assert not oracle_at(verdict.round)
-                assert all(oracle_at(t) for t in range(1, verdict.round))
+            assert verdict.holds == (not rounds_hit)
+            if verdict.holds:
+                continue
+            t = verdict.round
+            assert t == rounds_hit[0]
+            i, j = first_violation(t)
+            assert (verdict.envious, verdict.envied) == (i, j)
+            bundles = bundles_at(t)
+            mine = sum(values[i][g] for g in bundles[i])
+            if concept.kind == "tmms":
+                pool = [g for b in bundles.values() for g in b]
+                share = naive_mms_share([values[i][g] for g in pool], n_agents)
+                assert verdict.removed_good is None
+                assert verdict.shortfall == share - mine
+                continue
+            pick = max if concept.kind == "tef1" else min
+            binding = pick(values[i][g] for g in bundles[j])
+            assert verdict.removed_good == min(
+                (g for g in bundles[j] if values[i][g] == binding), key=good_key
+            )
+            theirs = sum(values[i][g] for g in bundles[j])
+            assert verdict.shortfall == alphas[i - 1] * (theirs - binding) - mine
 
 
 # one good per round worth (4/3, 3/7, 3/2), (2, 0, 3) and (2, 5/3, 9/7);
@@ -466,3 +545,23 @@ def test_prefix_violation_dispatch():
     even = single_round_instance({1: {"a": 1, "b": 1}, 2: {"a": 1, "b": 1}}, ["a", "b"], 2)
     assert prefix_violation(even, (frozenset({"g1"}), frozenset({"g2"})), Concept("tmms")) is None
     assert prefix_violation(even, (frozenset({"g1", "g2"}), frozenset()), Concept("tmms")) is not None
+    # a matrix grown one good at a time gives the violation of one built
+    # from the bundles
+    rng = random.Random(41)
+    concepts = [Concept("tef1"), Concept("tefx"), Concept("atefx", (F(1, 2), F(1), F(2, 3)))]
+    seen = set()
+    for _ in range(60):
+        inst = make_instance([[tuple(rng.randint(0, 4) for _ in range(3)) for _ in range(5)]])
+        owner = {g.id: rng.randint(1, 3) for g in inst.goods}
+        bundles = [[g for g in owner if owner[g] == i] for i in inst.agents]
+        for concept in concepts:
+            pick = REMOVAL[concept.kind]
+            worth = [[(0, None)] * 3 for _ in range(3)]
+            for gid in rng.sample(sorted(owner), len(owner)):
+                for row, values in zip(worth, inst.value_table.values()):
+                    fold(row, owner[gid] - 1, values[gid], pick)
+            alphas = [F(1, 2), F(1), F(2, 3)] if concept.kind == "atefx" else None
+            built = prefix_violation(inst, bundles, concept)
+            assert prefix_violation(inst, bundles, concept, alphas, worth) == built
+            seen.add(built is None)
+    assert seen == {True, False}

@@ -157,3 +157,25 @@ def test_identical_valuations_reduction_still_finds_witness():
     assert out.exists
     # with all agents interchangeable the first good pins to agent 1
     assert out.witness.owner["g1"] == 1
+
+
+# Nonexistence proofs on identical days (both agents value each good alike)
+# at buffer 2 with scheduling: the hottest path of the search, a few
+# seconds each.  The failed-state memo planned in ROADMAP.md (item 2) will
+# lower these node counts, and must update the literals here when it does.
+@pytest.mark.parametrize(
+    "days,horizon,concept,nodes",
+    [
+        ((0, 2, 9), 5, "tefx", 623_518),
+        ((0, 2, 9), 5, "atefx:1,1", 623_518),
+        ((5, 7), 7, "tmms", 130_588),
+    ],
+    ids=["029x5-tefx", "029x5-atefx", "57x7-tmms"],
+)
+def test_nonexistence_proofs(days, horizon, concept, nodes):
+    inst = TemporalInstance.from_value_rounds(
+        [[(v, v) for v in days]] * horizon, buffer=2
+    )
+    out = search(inst, Concept.from_string(concept), use_scheduling=True)
+    assert not out.exists and out.witness is None
+    assert out.nodes_visited == nodes
