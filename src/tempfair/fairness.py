@@ -141,6 +141,14 @@ def _worth(instance, bundles, pick):
     return worth
 
 
+def _per_agent(instance, bundles):
+    """Fixed bundles as lists, after checking there is one per agent."""
+    bundles = [list(b) for b in bundles]
+    if len(bundles) != instance.n_agents:
+        raise ValidationError(f"{len(bundles)} bundles for {instance.n_agents} agents")
+    return bundles
+
+
 def _envy_violation(worth, alphas=None):
     """First (envious, envied, gap, den) in index order, or None: with
     alpha = num/den (1 without ``alphas``), agent i envies bundle j past its
@@ -159,7 +167,7 @@ def _envy_violation(worth, alphas=None):
 
 def is_ef1(instance: TemporalInstance, bundles: Bundles) -> bool:
     """Envy-free up to the removal of some one good from the envied bundle."""
-    return _envy_violation(_worth(instance, bundles, max)) is None
+    return _envy_violation(_worth(instance, _per_agent(instance, bundles), max)) is None
 
 
 def is_efx(instance: TemporalInstance, bundles: Bundles) -> bool:
@@ -168,7 +176,7 @@ def is_efx(instance: TemporalInstance, bundles: Bundles) -> bool:
     The removal is quantified over every good of the envied bundle, zero
     valued ones included, so only the cheapest removal needs checking.
     """
-    return _envy_violation(_worth(instance, bundles, min)) is None
+    return _envy_violation(_worth(instance, _per_agent(instance, bundles), min)) is None
 
 
 def is_alpha_efx(instance: TemporalInstance, bundles: Bundles, alpha) -> bool:
@@ -177,7 +185,8 @@ def is_alpha_efx(instance: TemporalInstance, bundles: Bundles, alpha) -> bool:
     ``alpha`` is a Fraction in (0, 1] or a per-agent sequence of them.
     """
     alphas = _alphas(instance, alpha)
-    return _envy_violation(_worth(instance, bundles, min), alphas) is None
+    worth = _worth(instance, _per_agent(instance, bundles), min)
+    return _envy_violation(worth, alphas) is None
 
 
 def mms_share(values: Sequence[int | Fraction], n_parts: int, cap: int | None = 16) -> Fraction:
@@ -185,41 +194,47 @@ def mms_share(values: Sequence[int | Fraction], n_parts: int, cap: int | None = 
 
     ``values`` lists the agent's values for every good in the pool: ints
     and Fractions as they are, anything else read by ``parse_rational``
-    (so floats and bools are rejected).  The share is a Fraction.  Parts
-    may be empty.  The search runs on exact integers: zero values are
-    dropped, the rest are multiplied by the LCM of their denominators and
-    divided by the GCD of the results, and the share is scaled back at the
-    end, so pools that differ by one positive factor share a memo entry.
-    Two parts run a subset-sum sweep with no size limit: a bitset of the
-    sums up to half the total, or a set of reachable sums when that bitset
-    would be wide next to the 2**k sums k goods can reach.  Three or more
-    parts run branch and bound, guarded by ``cap`` on the pool size, zero
-    values included (None lifts the guard).  Both stop as soon as a split
-    reaches floor(total / n_parts), which no split can beat.
+    (so floats and bools are rejected).  Parts may be empty.  The values,
+    scaled by the LCM of their denominators, go to ``_int_share``, the
+    entry the checkers and solvers call with table integers.  It drops
+    zeros and divides by the GCD, so pools that differ by one positive
+    factor share a memo entry.  Two parts run a subset-sum sweep with no
+    size limit: a bitset of the sums up to half the total, or a set of
+    reachable sums when the bitset would be wider than the 2**k sums k
+    goods reach.  Three or more parts, at most ``cap`` goods with zeros
+    (None lifts the cap), run branch and bound from the greedy split
+    (largest good into the lightest part), loading no part past what
+    leaves the others above the best split so far.  Both stop once a
+    split reaches floor(total / n_parts), which none can beat.
     """
     if n_parts < 1:
         raise ValidationError("need at least one part")
     vals = [v if type(v) in (int, Fraction) else parse_rational(v) for v in values]
     if any(v < 0 for v in vals):
         raise ValidationError("negative value in pool")
+    lcm = math.lcm(*(v.denominator for v in vals))
+    ints = [v.numerator * (lcm // v.denominator) for v in vals]
+    return Fraction(_int_share(ints, n_parts, cap), lcm)
+
+
+def _int_share(ints: list[int], n_parts: int, cap: int | None) -> int:
+    """Maximin share of non-negative integers, as ``mms_share`` rules."""
     if n_parts == 1:
-        return sum(vals, start=Fraction(0))
-    if len(vals) < n_parts:
-        return Fraction(0)
-    if n_parts >= 3 and cap is not None and len(vals) > cap:
+        return sum(ints)
+    if len(ints) < n_parts:
+        return 0
+    if n_parts >= 3 and cap is not None and len(ints) > cap:
         raise ShareCapExceeded(
-            f"pool of {len(vals)} goods exceeds the exact-search cap {cap}"
+            f"pool of {len(ints)} goods exceeds the exact-search cap {cap}"
         )
-    positive = [v for v in vals if v.numerator]
+    positive = [v for v in ints if v]
     if len(positive) < n_parts:
-        return Fraction(0)
-    lcm = math.lcm(*(v.denominator for v in positive))
-    ints = [v.numerator * (lcm // v.denominator) for v in positive]
-    gcd = math.gcd(*ints)
+        return 0
+    gcd = math.gcd(*positive)
     # shares recur across prefixes and across allocations of one pool, so
     # the pure search below is memoized on the sorted coprime pool
-    key = tuple(sorted((v // gcd for v in ints), reverse=True))
-    return Fraction(_mms_share_search(key, n_parts) * gcd, lcm)
+    key = tuple(sorted((v // gcd for v in positive), reverse=True))
+    return _mms_share_search(key, n_parts) * gcd
 
 
 @lru_cache(maxsize=4096)
@@ -243,7 +258,12 @@ def _mms_share_search(vals: tuple[int, ...], n_parts: int) -> int:
             if bound in sums:
                 return bound
         return max(sums)
-    best = 0
+    parts = [0] * n_parts
+    for v in vals:  # the greedy split, largest good into the lightest part
+        parts[parts.index(min(parts))] += v
+    best = min(parts)
+    if best == bound:
+        return best
     parts = [0] * n_parts
     suffix = [0] * (len(vals) + 1)
     for k in range(len(vals) - 1, -1, -1):
@@ -261,6 +281,8 @@ def _mms_share_search(vals: tuple[int, ...], n_parts: int) -> int:
         for p in range(n_parts):
             if parts[p] in seen:
                 continue  # identical part loads are interchangeable
+            if parts[p] + vals[k] > total - (n_parts - 1) * (best + 1):
+                continue  # the other parts could not all beat best
             seen.add(parts[p])
             parts[p] += vals[k]
             done = walk(k + 1)
@@ -279,7 +301,7 @@ def _mms_violation(instance, bundles, cap=16):
     pool = [gid for b in bundles for gid in b]
     for i in instance.agents:
         row = instance.value_table[i]
-        share = mms_share([row[g] for g in pool], instance.n_agents, cap=cap)
+        share = _int_share([row[g] for g in pool], instance.n_agents, cap)
         have = sum(row[g] for g in bundles[i - 1])
         if have < share:
             return (i, None, share - have, 1)
@@ -291,7 +313,7 @@ def is_mms(instance: TemporalInstance, bundles: Bundles, cap: int | None = 16) -
 
     The pool is the union of the given bundles.
     """
-    return _mms_violation(instance, [list(b) for b in bundles], cap=cap) is None
+    return _mms_violation(instance, _per_agent(instance, bundles), cap=cap) is None
 
 
 def concept_alphas(instance: TemporalInstance, concept: Concept) -> list[Fraction] | None:

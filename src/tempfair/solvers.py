@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import PreconditionError, SolverFailure
-from .fairness import Concept, mms_share
+from .fairness import Concept, _int_share
 from .model import (
     TemporalAllocation,
     TemporalInstance,
@@ -640,7 +640,7 @@ def _two_agent_bounds(pool):
     columns = ([v[0] for v in pool], [v[1] for v in pool])
     return (
         tuple(sum(c) for c in columns),
-        tuple(mms_share(c, 2, cap=None) for c in columns),
+        tuple(_int_share(c, 2, None) for c in columns),
     )
 
 

@@ -79,6 +79,20 @@ def naive_mms_share(vals, n_parts):
     return best
 
 
+def dp_mms_share(vals, n_parts):
+    """The same share by dynamic programming: keep every reachable sorted
+    tuple of part loads, add each good to every part, and return the
+    largest minimum load."""
+    states = {(0,) * n_parts}
+    for v in vals:
+        states = {
+            tuple(sorted(loads[:p] + (loads[p] + v,) + loads[p + 1:]))
+            for loads in states
+            for p in range(n_parts)
+        }
+    return max(loads[0] for loads in states)
+
+
 def naive_tmms(values, bundles, n_agents):
     pool = sorted(g for b in bundles.values() for g in b)
     for i in sorted(bundles):

@@ -263,7 +263,9 @@ def test_criterion_6_checker_cross_validation():
                 for _ in range(m)]
         instance = TemporalInstance.from_value_rounds([vecs])
         goods = [g.id for g in instance.goods]
-        values = {i: {g.id: g.values[i - 1] for g in instance.goods}
+        # the oracles add the drawn integers as ints: the same values,
+        # still exact, without Fraction arithmetic in their inner loops
+        values = {i: {g.id: int(g.values[i - 1]) for g in instance.goods}
                   for i in agents}
         shares = {i: naive_mms_share(list(values[i].values()), n)
                   for i in agents}

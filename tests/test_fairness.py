@@ -38,6 +38,7 @@ from tempfair.model import (
 from tempfair.search import search
 
 from oracles import (
+    dp_mms_share,
     naive_alpha_efx,
     naive_ef1,
     naive_efx,
@@ -173,11 +174,14 @@ def test_tmms_matches_oracle():
                 ), (values, bundles)
 
 
-@pytest.mark.parametrize(
+FIXED_CHECKERS = pytest.mark.parametrize(
     "checker",
     [is_ef1, is_efx, lambda inst, b: is_alpha_efx(inst, b, F(1, 2)), is_mms],
     ids=["ef1", "efx", "alpha-efx", "mms"],
 )
+
+
+@FIXED_CHECKERS
 def test_checkers_read_one_shot_bundles(checker):
     # each bundle may be an iterator, read once, with the list's verdict
     rng = random.Random(31)
@@ -192,6 +196,18 @@ def test_checkers_read_one_shot_bundles(checker):
             assert checker(inst, [iter(b) for b in lists]) == verdict
             verdicts.add(verdict)
     assert verdicts == {True, False}
+
+
+@FIXED_CHECKERS
+@pytest.mark.parametrize(
+    "bundles", [[["g1"], ["g2"], ["g3"]], [["g1", "g2", "g3"]]], ids=["three", "one"]
+)
+def test_checkers_reject_a_wrong_bundle_count(checker, bundles):
+    # one bundle per agent: a third bundle is not silently pooled or
+    # indexed past the agents, and a missing one is not read as empty
+    inst = make_instance([[(1, 1), (5, 5), (1, 1)]])
+    with pytest.raises(ValidationError, match=f"{len(bundles)} bundles for 2 agents"):
+        checker(inst, bundles)
 
 
 # --- maximin shares -----------------------------------------------------------
@@ -219,6 +235,24 @@ class TestMmsShare:
             assert mms_share([F(v) for v in vals], n_parts) == F(
                 naive_mms_share(vals, n_parts)
             )
+
+    def test_matches_dp_oracle_on_larger_pools(self):
+        # 9-13 goods, where the greedy start and the load cap of the 3+-part
+        # search do most of their work; seeded, so it runs without Hypothesis
+        rng = random.Random(0x5A)
+        draws = {
+            "random": lambda k, a, b: [rng.randint(0, 20) for _ in range(k)],
+            "bi-valued": lambda k, a, b: [rng.choice((a, b)) for _ in range(k)],
+            "zero-or-b": lambda k, a, b: [rng.choice((0, b)) for _ in range(k)],
+            "all-equal": lambda k, a, b: [a] * k,
+        }
+        for n_parts in (3, 4):
+            for kind, draw in draws.items():
+                for _ in range(12):
+                    a, b = sorted(rng.sample(range(1, 21), 2))
+                    vals = draw(rng.randint(9, 13), a, b)
+                    assert mms_share(vals, n_parts) == dp_mms_share(vals, n_parts), (
+                        kind, vals, n_parts)
 
     def test_cap_guard(self):
         vals = [F(1)] * 17
