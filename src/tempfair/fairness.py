@@ -123,12 +123,15 @@ def _alphas(instance: TemporalInstance, alpha) -> list[Fraction]:
 REMOVAL = {"tef1": max, "tefx": min, "atefx": min}
 
 
-def fold(row, j, value, pick):
-    """Fold a good worth ``value`` to agent i into bundle j of row i of a
-    worth matrix, whose ``worth[i - 1][j - 1]`` is agent i's ``(total,
-    binding removal)`` of bundle j, the removal None while j is empty."""
-    total, removal = row[j]
-    row[j] = (total + value, value if removal is None else pick(removal, value))
+def fold(worth, j, g, tables, pick):
+    """Fold good g into bundle j + 1 of a worth matrix, for every agent:
+    ``worth[i - 1][j]`` is agent i's ``(total, binding removal)`` of that
+    bundle, the removal None while it is empty, and ``tables[i - 1][g]``
+    is agent i's value of g."""
+    for row, values in zip(worth, tables):
+        value = values[g]
+        total, removal = row[j]
+        row[j] = (total + value, value if removal is None else pick(removal, value))
 
 
 def _worth(instance, bundles, pick):
@@ -136,8 +139,7 @@ def _worth(instance, bundles, pick):
     worth = [[(0, None)] * instance.n_agents for _ in instance.agents]
     for j, bundle in enumerate(bundles):
         for g in bundle:
-            for row, values in zip(worth, instance.value_table.values()):
-                fold(row, j, values[g], pick)
+            fold(worth, j, g, instance.value_table.values(), pick)
     return worth
 
 
@@ -372,8 +374,7 @@ def check_temporal(
             j = allocation.owner[gid] - 1
             bundles[j].append(gid)
             if pick:
-                for row, values in zip(worth, tables):
-                    fold(row, j, values[gid], pick)
+                fold(worth, j, gid, tables, pick)
         hit = prefix_violation(instance, bundles, concept, alphas, worth)
         if hit is not None:
             envious, envied, gap, den = hit

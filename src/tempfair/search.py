@@ -5,7 +5,9 @@ to an agent (and, in scheduling mode, every legal placement round for it).
 Depth-first with prefix pruning: once all goods arriving by round t are
 decided, the bundle prefix at t is final, so a violation there kills the
 whole branch.  Prefixes whose bundles did not change inherit the previous
-verdict and are skipped.
+verdict and are skipped.  Only rounds up to the one whose arrivals are
+being decided hold a prefix; a later round is built from the one before
+when the search reaches it.
 """
 
 from __future__ import annotations
@@ -77,11 +79,14 @@ def search(
     lexicographically least one.  Among agents whose bundles are still
     empty, those with identical valuation rows are interchangeable, so only
     the lowest-indexed one of each group is tried; this loses no outcomes
-    and returns the same first witness the unreduced order would.  Each
-    decision appends the good to its owner's bundle in every prefix from
-    its placement round on, and backtracking pops it: none is rebuilt.
-    An envy concept also folds it into those prefixes' worth matrices, and
-    backtracking puts back the entries it saved (a min cannot be popped).
+    and returns the same first witness the unreduced order would.  A good
+    placed at its arrival round, the open round, is appended to its owner's
+    bundle in that round's prefix and, for an envy concept, folded into
+    that prefix's worth matrix; backtracking pops it and puts back the
+    matrix column it saved (a min cannot be popped).  A good placed later
+    is only listed under its round.  A round opens once every good that
+    arrives before it is decided: it copies the previous round's bundles
+    and matrix and adds the goods listed under it.
     """
     goods = sorted(instance.goods, key=lambda g: (g.arrival, good_key(g.id)))
     m = len(goods)
@@ -110,58 +115,77 @@ def search(
         for k, g in enumerate(goods)
     ]
 
-    rows = {
-        i: tuple(row[g.id] for g in goods)
-        for i, row in instance.value_table.items()
-    }
-    # held[t][i - 1]: agent i's goods placed by round t; landed[t]: goods
-    # placed at t.  Each try overwrites owner and placed; a witness sets all.
-    held = [[[] for _ in instance.agents] for _ in range(horizon + 1)]
-    landed = [0] * (horizon + 1)
-    owner: dict[str, int] = {}
-    placed: dict[str, int] = {}
-    # worth[t]: the worth matrix of the prefix at t, for envy concepts
+    rows = [tuple(row[g.id] for g in goods) for row in instance.value_table.values()]
+    # landed[t]: the (bundle j, good k) pairs placed at round t; count[j]:
+    # agent j + 1's good count.  Rounds up to the open round are prefixes:
+    # held[s][j], agent j + 1's goods placed by s, and for an envy concept
+    # worth[s], its worth matrix.
+    landed: list[list[tuple[int, int]]] = [[] for _ in range(horizon + 1)]
+    count = [0] * n
+    held = [[[] for _ in range(n)] for _ in range(horizon + 1)]
     pick = REMOVAL.get(concept.kind)
     worth = [[[(0, None)] * n for _ in range(n)] if pick else None
              for _ in range(horizon + 1)]
     nodes = 0
 
+    def open_round(s: int) -> None:
+        """Make round s a prefix: round s - 1's plus the goods placed at s."""
+        held[s] = [bundle[:] for bundle in held[s - 1]]
+        if pick:
+            worth[s] = [row[:] for row in worth[s - 1]]
+        for j, k in landed[s]:
+            held[s][j].append(goods[k].id)
+            if pick:
+                fold(worth[s], j, k, rows, pick)
+
+    def final_ok(k: int, a: int) -> bool:
+        """No violation at the rounds good k closes, opening each past a."""
+        for s in closes[k]:
+            if s > a:
+                open_round(s)
+            if landed[s] and prefix_violation(
+                    instance, held[s], concept, alphas, worth[s]) is not None:
+                return False
+        return True
+
     def descend(k: int) -> bool:
         nonlocal nodes
         if k == m:
             return True
-        gid = goods[k].id
+        a = goods[k].arrival
+        if k and a > goods[k - 1].arrival:
+            open_round(a)
         for t in windows[k]:
             seen_rows = set()
-            for i in instance.agents:
-                if not held[horizon][i - 1]:  # i holds nothing yet
-                    if rows[i] in seen_rows:
+            for j in range(n):
+                if not count[j]:  # agent j + 1 holds nothing yet
+                    if rows[j] in seen_rows:
                         continue
-                    seen_rows.add(rows[i])
+                    seen_rows.add(rows[j])
                 nodes += 1
-                owner[gid] = i
-                placed[gid] = t
-                for bundles in held[t:]:
-                    bundles[i - 1].append(gid)
-                landed[t] += 1
-                trail = []
-                if pick:
-                    for matrix in worth[t:]:
-                        for row, values in zip(matrix, rows.values()):
-                            trail.append((row, row[i - 1]))
-                            fold(row, i - 1, values[k], pick)
-                if all(not landed[s] or prefix_violation(
-                        instance, held[s], concept, alphas, worth[s]) is None
-                       for s in closes[k]) and descend(k + 1):
+                count[j] += 1
+                landed[t].append((j, k))
+                if t == a:
+                    held[a][j].append(goods[k].id)
+                    if pick:
+                        saved = [row[j] for row in worth[a]]
+                        fold(worth[a], j, k, rows, pick)
+                if final_ok(k, a) and descend(k + 1):
                     return True
-                for bundles in held[t:]:
-                    bundles[i - 1].pop()
-                landed[t] -= 1
-                for row, entry in trail:
-                    row[i - 1] = entry
+                count[j] -= 1
+                landed[t].pop()
+                if t == a:
+                    held[a][j].pop()
+                    if pick:
+                        for row, entry in zip(worth[a], saved):
+                            row[j] = entry
         return False
 
     if descend(0):
-        witness = TemporalAllocation(placement=dict(placed), owner=dict(owner))
+        # the decisions stay in landed; read them back in good order
+        decided = sorted((k, j, t) for t, pairs in enumerate(landed) for j, k in pairs)
+        witness = TemporalAllocation(
+            placement={goods[k].id: t for k, _, t in decided},
+            owner={goods[k].id: j + 1 for k, j, _ in decided})
         return SearchOutcome(True, witness, nodes, space_bound)
     return SearchOutcome(False, None, nodes, space_bound)

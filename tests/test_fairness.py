@@ -592,8 +592,7 @@ def test_prefix_violation_dispatch():
             pick = REMOVAL[concept.kind]
             worth = [[(0, None)] * 3 for _ in range(3)]
             for gid in rng.sample(sorted(owner), len(owner)):
-                for row, values in zip(worth, inst.value_table.values()):
-                    fold(row, owner[gid] - 1, values[gid], pick)
+                fold(worth, owner[gid] - 1, gid, inst.value_table.values(), pick)
             alphas = [F(1, 2), F(1), F(2, 3)] if concept.kind == "atefx" else None
             built = prefix_violation(inst, bundles, concept)
             assert prefix_violation(inst, bundles, concept, alphas, worth) == built

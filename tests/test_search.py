@@ -66,19 +66,38 @@ def test_agrees_with_unpruned_enumeration(concept):
             assert check_temporal(inst, out.witness, concept).holds
 
 
-@pytest.mark.parametrize("concept", CONCEPTS[:3], ids=str)
-def test_agrees_with_unpruned_enumeration_scheduled(concept):
-    rng = random.Random(f"sched-{concept}")
+def _small_scheduled_instances(rng):
+    """Scheduled instances whose raw space stays small enough to enumerate:
+    generated ones, identical days at buffer 2, and hand-built rounds where
+    round 2 has no arrivals, so the goods of round 1 close several rounds
+    and a deferred one lands in a round that nothing arrives in."""
     for trial in range(25):
-        n = rng.randint(1, 3)
-        inst = generate(
-            n,
+        yield generate(
+            rng.randint(1, 3),
             rng.randint(1, 3),
             rng.randint(1, 2),
             rng.randint(1, 6),
             seed=trial * 17 + 3,
             buffer=rng.randint(1, 3),
         )
+    for trial in range(8):
+        yield generate(2, rng.randint(2, 3), rng.randint(1, 2), rng.randint(2, 9),
+                       seed=trial * 5 + 1, identical_days=True, buffer=2)
+    made = 0
+    while made < 12:
+        n = rng.randint(1, 3)
+        shape = [rng.randint(1, 2), 0] + [rng.choice([0, 1, 2]) for _ in range(rng.randint(0, 2))]
+        rounds = [[tuple(rng.randint(0, 5) for _ in range(n)) for _ in range(c)] for c in shape]
+        inst = TemporalInstance.from_value_rounds(rounds, buffer=rng.randint(2, 3))
+        if search(inst, Concept("tef1"), use_scheduling=True).space_bound <= 1500:
+            made += 1
+            yield inst
+
+
+@pytest.mark.parametrize("concept", CONCEPTS[:3], ids=str)
+def test_agrees_with_unpruned_enumeration_scheduled(concept):
+    rng = random.Random(f"sched-{concept}")
+    for trial, inst in enumerate(_small_scheduled_instances(rng)):
         out = search(inst, concept, use_scheduling=True)
         expected, _ = exhaustive_exists(inst, concept, use_scheduling=True)
         assert out.exists == expected, (concept, trial)
@@ -87,18 +106,24 @@ def test_agrees_with_unpruned_enumeration_scheduled(concept):
 
 
 def test_first_witness_matches_unpruned_order():
-    # symmetry reduction must not change which witness comes out first
+    # symmetry reduction must not change which witness comes out first,
+    # with or without scheduling
     rng = random.Random("witness-order")
-    for trial in range(30):
+    cases = [(Concept("tef1"), False, 1)] * 30 + [
+        (concept, True, buffer)
+        for concept in CONCEPTS[:3] for buffer in (2, 3) for _ in range(8)
+    ]
+    for trial, (concept, use_scheduling, buffer) in enumerate(cases):
         n = rng.randint(2, 3)
         inst = generate(
             n, rng.randint(1, 3), rng.randint(1, 2), rng.randint(1, 4),
             seed=trial * 7 + 2,
             identical_valuation=bool(trial % 2),
+            buffer=buffer,
         )
-        out = search(inst, Concept("tef1"))
-        expected, witness = exhaustive_exists(inst, Concept("tef1"))
-        assert out.exists == expected
+        out = search(inst, concept, use_scheduling)
+        expected, witness = exhaustive_exists(inst, concept, use_scheduling)
+        assert out.exists == expected, (concept, trial)
         if expected:
             assert dict(out.witness.owner) == dict(witness.owner)
             assert dict(out.witness.placement) == dict(
@@ -160,9 +185,11 @@ def test_identical_valuations_reduction_still_finds_witness():
 
 
 # Nonexistence proofs on identical days (both agents value each good alike)
-# at buffer 2 with scheduling: the hottest path of the search, a few
-# seconds each.  The failed-state memo planned in ROADMAP.md (item 2) will
-# lower these node counts, and must update the literals here when it does.
+# at buffer 2 with scheduling: the hottest path of the search, 1-3 s each
+# on a 2-core VM (3.4-4.4 us per node for the two envy proofs, 8.8-10.2 us
+# for the share proof).  The failed-state memo planned in ROADMAP.md (item
+# 2) will lower these node counts, and must update the literals here when
+# it does.
 @pytest.mark.parametrize(
     "days,horizon,concept,nodes",
     [
