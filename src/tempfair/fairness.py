@@ -50,6 +50,12 @@ class Concept:
     kind: str  # "tef1" | "tefx" | "atefx" | "tmms"
     alpha: Fraction | None = None
 
+    def __post_init__(self):
+        if self.kind not in ("tef1", "tefx", "atefx", "tmms"):
+            raise ValidationError(f"unknown concept kind {self.kind!r}")
+        if (self.alpha is None) == (self.kind == "atefx"):
+            raise ValidationError(f"{self.kind} with alpha {self.alpha}: atefx alone needs one")
+
     @classmethod
     def from_string(cls, text: str) -> "Concept":
         if text in ("tef1", "tefx", "tmms"):
@@ -337,10 +343,8 @@ def prefix_violation(instance, bundles, concept: Concept, alphas=None, worth=Non
     """
     if concept.kind == "tmms":
         return _mms_violation(instance, bundles)
-    if concept.kind not in REMOVAL:
-        raise ValidationError(f"unknown concept kind {concept.kind!r}")
     if alphas is None and concept.kind == "atefx":
-        alphas = _alphas(instance, concept.alpha)
+        alphas = concept_alphas(instance, concept)
     if worth is None:
         worth = _worth(instance, bundles, REMOVAL[concept.kind])
     return _envy_violation(worth, alphas)

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import PreconditionError, SolverFailure
-from .fairness import Concept, _int_share
+from .fairness import Concept, _envy_violation, _int_share
 from .model import (
     TemporalAllocation,
     TemporalInstance,
@@ -236,11 +236,9 @@ def solve_half_tefx_genbinary(instance: TemporalInstance, trace=None) -> Tempora
     each round boundary the exact pairwise conditions are enforced, so a
     returned allocation is fair by construction; if every routing dead
     ends, SolverFailure is raised rather than returning a bad allocation.
-
-    With a single positive level b, the condition for agent i against
-    bundle A_j reduces to counting goods i values: the count of i's own
-    bundle, doubled, must reach the count of A_j, minus one only if A_j
-    carries nothing i finds worthless.
+    Failed round-start states are memoized as in ``_first_plan``, but the
+    route keeps its own stack: it has one stage per good, far more than
+    the call stack allows.
     """
     setting = classify(instance)
     _require(setting.generalized_binary, "needs all values in {0, b}")
@@ -270,21 +268,13 @@ def solve_half_tefx_genbinary(instance: TemporalInstance, trace=None) -> Tempora
     counts = [[0] * (n + 1) for _ in range(n + 1)]
     size = [0] * (n + 1)
     failed: set[tuple] = set()
+    half = [Fraction(1, 2)] * n
 
-    def ok_at_round_end() -> bool:
-        for i in agents:
-            roof = 2 * counts[i][i]
-            for j in agents:
-                if i == j:
-                    continue
-                if counts[i][j] > roof + (size[j] == counts[i][j]):
-                    return False
-        return True
-
-    def state_key() -> tuple:
-        return (
-            tuple(tuple(row[1:]) for row in counts[1:]),
-            tuple(tuple(size[j] > row[j] for j in agents) for row in counts[1:]),
+    def worth() -> tuple:
+        """Worth matrix in units of b: removal 0 if the bundle holds a good the agent values at 0."""
+        return tuple(
+            tuple((row[j], None if size[j] == 0 else int(size[j] == row[j])) for j in agents)
+            for row in counts[1:]
         )
 
     def candidates(k: int) -> list[int]:
@@ -308,20 +298,20 @@ def solve_half_tefx_genbinary(instance: TemporalInstance, trace=None) -> Tempora
         """Candidates for good k that pass its round-end check, each held
         in the counts while it is yielded; none when k starts a round in
         a state already known to fail."""
-        if k in round_start and (k, state_key()) in failed:
+        if k in round_start and (k, worth()) in failed:
             return
         support = positive_for[order[k]]
         for receiver in candidates(k):
             size[receiver] += 1
             for i in support:
                 counts[i][receiver] += 1
-            if k not in round_end or ok_at_round_end():
+            if k not in round_end or _envy_violation(worth(), half) is None:
                 yield receiver
             size[receiver] -= 1
             for i in support:
                 counts[i][receiver] -= 1
         if k in round_start:
-            failed.add((k, state_key()))
+            failed.add((k, worth()))
 
     # depth first with an explicit stack: one suspended generator per good
     # on the current route, so the depth is not bound by the call stack
@@ -652,13 +642,32 @@ def _split_ok(totals, shares, a1v1, a1v2, min2_in_a1, min1_in_a2):
     agent 1's pile, and the minima are each agent's cheapest good in the
     other's pile, None while that pile is empty (no envy is possible).
     """
-    a2v1 = totals[0] - a1v1
-    a2v2 = totals[1] - a1v2
-    if min1_in_a2 is not None and a1v1 < a2v1 - min1_in_a2:
-        return False
-    if min2_in_a1 is not None and a2v2 < a1v2 - min2_in_a1:
-        return False
-    return a1v1 >= shares[0] and a2v2 >= shares[1]
+    worth = [[(a1v1, None), (totals[0] - a1v1, min1_in_a2)],
+             [(a1v2, min2_in_a1), (totals[1] - a1v2, None)]]
+    return (_envy_violation(worth) is None
+            and a1v1 >= shares[0] and totals[1] - a1v2 >= shares[1])
+
+
+def _first_plan(depth, moves, start):
+    """The first moves, depth first, that take ``start`` through stages
+    0 .. depth - 1, or None.  ``moves(p, state)`` yields stage p's passing
+    (move, next state) pairs in the order to try them; a (stage, state)
+    pair with no plan is memoized."""
+    failed: set[tuple] = set()
+
+    def walk(p, state):
+        if p == depth:
+            return []
+        if (p, state) in failed:
+            return None
+        for move, after in moves(p, state):
+            tail = walk(p + 1, after)
+            if tail is not None:
+                return [move] + tail
+        failed.add((p, state))
+        return None
+
+    return walk(0, start)
 
 
 def _search_pool_splits(instance, pools):
@@ -666,8 +675,9 @@ def _search_pool_splits(instance, pools):
 
     State per depth: both agents' values of agent 1's pile plus the
     cheapest good each agent sees in the other's pile (what the
-    any-good-removal check depends on).  Prunes splits failing envy or
-    share checks at their pool's round; memoizes failed states.
+    any-good-removal check depends on).  ``_first_plan`` walks the pools,
+    each split mask a move; splits failing envy or share checks at their
+    pool's round are pruned.
     """
     v1, v2 = instance.value_table[1], instance.value_table[2]
     ordered_pools = [sorted(pool, key=good_key) for pool, _ in pools]
@@ -678,21 +688,11 @@ def _search_pool_splits(instance, pools):
         seen.extend((v1[g], v2[g]) for g in pool)
         bounds.append(_two_agent_bounds(seen))
 
-    failed: set[tuple] = set()
-
-    def walk(p, a1v1, a1v2, min2_in_a1, min1_in_a2):
-        if p == len(ordered_pools):
-            return []
-        state = (p, a1v1, a1v2, min2_in_a1, min1_in_a2)
-        if state in failed:
-            return None
+    def moves(p, state):
         pool = ordered_pools[p]
         tried = set()
         for mask in range(1 << len(pool)):
-            n1v1 = a1v1
-            n1v2 = a1v2
-            nmin2 = min2_in_a1
-            nmin1 = min1_in_a2
+            n1v1, n1v2, nmin2, nmin1 = state
             for idx, g in enumerate(pool):
                 if mask >> idx & 1:
                     n1v1 += v1[g]
@@ -705,15 +705,10 @@ def _search_pool_splits(instance, pools):
             if key in tried:
                 continue
             tried.add(key)
-            if not _split_ok(*bounds[p], *key):
-                continue
-            tail = walk(p + 1, *key)
-            if tail is not None:
-                return [mask] + tail
-        failed.add(state)
-        return None
+            if _split_ok(*bounds[p], *key):
+                yield mask, key
 
-    return walk(0, 0, 0, None, None)
+    return _first_plan(len(ordered_pools), moves, (0, 0, None, None))
 
 
 def _search_window(instance):
@@ -726,8 +721,8 @@ def _search_window(instance):
     how many of those go to agent 1.  The state after a round is agent 1's
     pile values, the two cheapest-good minima and the waiting counts per
     vector and age; the placed pool, hence both totals and shares, follows
-    from the round and the waiting counts.  Returns (good, owner, round)
-    triples or None.
+    from the round and the waiting counts.  ``_first_plan`` walks the
+    rounds.  Returns (good, owner, round) triples or None.
     """
     T = instance.horizon
     reach = min(instance.buffer, T) - 1  # the most rounds a good can wait
@@ -765,9 +760,12 @@ def _search_window(instance):
                 left.append(size - used)
             yield placed, tuple(reversed(left[1:]))
 
-    def moves(t, carry, state):
-        """Distinct successor states of one round, each with its first move."""
-        partial = {state + ((),): ()}
+    def moves(p, state):
+        """Distinct successor states of round p + 1 that pass its checks,
+        each with its first move."""
+        t = p + 1
+        carry, split = state
+        partial = {split + ((),): ()}
         for k, v in enumerate(vecs):
             options = list(vector_moves(t, k, carry[k]))
             grown = {}
@@ -784,27 +782,12 @@ def _search_window(instance):
                         if key not in grown:
                             grown[key] = picks + ((placed, x),)
             partial = grown
-        return partial.items()
-
-    failed: set[tuple] = set()
-
-    def walk(t, carry, state):
-        if t > T:
-            return []
-        memo_key = (t, carry) + state
-        if memo_key in failed:
-            return None
-        for (*after, waits), picks in moves(t, carry, state):
+        for (*after, waits), picks in partial.items():
             totals, shares = pool_bounds(t, tuple(sum(a) for a in waits))
-            if not _split_ok(totals, shares, *after):
-                continue
-            tail = walk(t + 1, waits, tuple(after))
-            if tail is not None:
-                return [picks] + tail
-        failed.add(memo_key)
-        return None
+            if _split_ok(totals, shares, *after):
+                yield picks, (waits, tuple(after))
 
-    plan = walk(1, ((0,) * reach,) * len(vecs), (0, 0, None, None))
+    plan = _first_plan(T, moves, (((0,) * reach,) * len(vecs), (0, 0, None, None)))
     if plan is None:
         return None
     placed = []

@@ -334,6 +334,16 @@ class TestConcept:
         with pytest.raises(ValidationError):
             Concept.from_string(bad)
 
+    @pytest.mark.parametrize("kind, alpha", [
+        ("atefx", None), ("bogus", None), ("tefx", F(1, 2)), ("tmms", F(1)),
+    ])
+    def test_rejects_bad_fields(self, kind, alpha):
+        # built directly, a concept is checked as from_string checks text:
+        # an unchecked one would fail later with a TypeError, or hold
+        # vacuously on a goodless instance
+        with pytest.raises(ValidationError):
+            Concept(kind, alpha)
+
 
 # --- temporal checking ----------------------------------------------------------
 

@@ -1,5 +1,7 @@
 """Per-setting solvers: precondition gates, certified concepts, structure."""
 
+import functools
+import itertools
 import random
 import zlib
 from fractions import Fraction as F
@@ -12,7 +14,7 @@ from tempfair.generators import generate
 from tempfair.model import TemporalInstance, prefix
 from tempfair.solvers import SOLVERS
 
-from oracles import values_of
+from oracles import naive_efx, naive_mms_share, values_of
 
 
 def make_instance(value_rounds, buffer=1):
@@ -26,6 +28,39 @@ def certify(name, instance):
         verdict = check_temporal(instance, alloc, concept)
         assert verdict.holds, (name, str(concept), verdict, instance)
     return alloc
+
+
+@functools.lru_cache(maxsize=None)
+def two_part_share(vals):
+    return naive_mms_share(vals, 2)
+
+
+def tefx_tmms_exists(instance):
+    """Whether some owner and placement of every good, two agents, is
+    envy-free up to any good and maximin-share fair at every prefix:
+    plain enumeration, each distinct prefix judged once."""
+    values = values_of(instance)
+    goods = instance.goods
+    windows = [range(g.arrival, min(g.arrival + instance.buffer - 1, instance.horizon) + 1)
+               for g in goods]
+    verdicts = {}
+
+    def fair(prefix):
+        if prefix not in verdicts:
+            bundles = {i: [g for g, o in prefix if o == i] for i in (1, 2)}
+            verdicts[prefix] = naive_efx(values, bundles) and all(
+                sum(values[i][g] for g in bundles[i])
+                >= two_part_share(tuple(sorted(values[i][g] for g, _ in prefix)))
+                for i in (1, 2)
+            )
+        return verdicts[prefix]
+
+    return any(
+        all(fair(tuple((g.id, o) for g, o, r in zip(goods, owners, rounds) if r <= t))
+            for t in range(1, instance.horizon + 1))
+        for owners in itertools.product((1, 2), repeat=len(goods))
+        for rounds in itertools.product(*windows)
+    )
 
 
 def test_registry_names():
@@ -288,17 +323,35 @@ class TestScheduledTwoAgents:
         instance = make_instance([day] * 5, buffer=2)
         certify("tefx-identical-days-scheduled-two", instance)
 
-    @pytest.mark.parametrize("day", [
-        [(5, 5), (3, 3)],
-        [(0, 0), (5, 5), (3, 3)],
-    ])
-    def test_odd_horizon_needs_single_good_delays(self, day):
-        # no split of whole pools (day 1, then days 2+3 and 4+5) passes,
-        # and those pools are the only placements on rounds 1, 3 and 5
-        # alone; a witness exists once goods land on rounds 2 or 4 too
-        instance = make_instance([day] * 5, buffer=2)
-        alloc = certify("tefx-identical-days-scheduled-two", instance)
-        pooled_rounds = {1, 3, 5}
+    @pytest.mark.parametrize("day, horizon, buffer, steps", [
+        ([(5, 5), (3, 3)], 5, 2,
+         "g02:2@1 g01:1@1 g04:2@2 g06:2@3 g03:1@3 g05:1@4 g07:2@4 g08:2@5 "
+         "g10:2@5 g09:1@5"),
+        ([(0, 0), (5, 5), (3, 3)], 5, 2,
+         "g01:2@1 g03:2@1 g02:1@1 g04:2@2 g07:2@3 g06:2@3 g09:2@3 g05:1@3 "
+         "g10:2@4 g08:1@4 g11:2@4 g13:2@5 g12:2@5 g15:2@5 g14:1@5"),
+        ([(3, 3), (7, 7), (12, 12)], 3, 2,
+         "g1:2@1 g2:1@1 g4:2@2 g3:1@2 g6:2@2 g7:2@3 g5:1@3 g8:1@3 g9:2@3"),
+        ([(5, 5), (7, 7)], 7, 3,
+         "g01:2@1 g02:1@1 g03:2@2 g05:2@3 g04:1@3 g07:2@4 g06:1@4 g08:1@5 "
+         "g10:2@5 g09:2@7 g11:2@7 g13:2@7 g12:1@7 g14:1@7"),
+    ], ids=["day0", "day1", "day2", "day3"])
+    def test_odd_horizon_needs_single_good_delays(self, day, horizon, buffer, steps):
+        # no split of whole pools (day 1, then pairs of days landing on odd
+        # rounds) passes, and those pools are the only placements on odd
+        # rounds alone; a witness exists once goods land on even rounds too.
+        # The window search's first witness is pinned step by step as
+        # good:agent@round, in trace order.
+        instance = make_instance([day] * horizon, buffer=buffer)
+        trace = []
+        alloc = SOLVERS["tefx-identical-days-scheduled-two"].run(instance, trace=trace)
+        certify("tefx-identical-days-scheduled-two", instance)
+        assert {row["rule"] for row in trace} == {"window-split"}
+        assert " ".join(
+            f"{row['good']}:{row['agent']}@{alloc.placement[row['good']]}" for row in trace
+        ) == steps
+        assert alloc.owner == {row["good"]: row["agent"] for row in trace}
+        pooled_rounds = set(range(1, horizon + 1, 2))
         assert set(alloc.placement.values()) - pooled_rounds
 
     def test_odd_horizon_without_witness_fails_loudly(self):
@@ -308,6 +361,25 @@ class TestScheduledTwoAgents:
         instance = make_instance([[(5, 5), (7, 7)]] * 7, buffer=2)
         with pytest.raises(SolverFailure, match="nor any placement"):
             SOLVERS["tefx-identical-days-scheduled-two"].run(instance)
+
+    def test_fails_exactly_when_no_allocation_exists(self):
+        # three rounds at buffer 2, three goods a day: 2**9 owners times
+        # 2**6 placements.  About one draw in twenty takes the window
+        # search, so draws go on until three have
+        window_cases = 0
+        for seed in itertools.count():
+            instance = generate(2, 3, 3, 12, seed=seed, identical_days=True,
+                                identical_valuation=True, buffer=2)
+            trace = []
+            try:
+                SOLVERS["tefx-identical-days-scheduled-two"].run(instance, trace=trace)
+            except SolverFailure:
+                assert not tefx_tmms_exists(instance), seed
+                continue
+            assert tefx_tmms_exists(instance), seed
+            window_cases += trace[0]["rule"] == "window-split"
+            if window_cases == 3:
+                break
 
     def test_wider_buffer_reaches_two_round_waits(self):
         # the days above do admit an allocation once goods may wait two
