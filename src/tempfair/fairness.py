@@ -48,23 +48,25 @@ class Concept:
     """A fairness concept name plus its parameter when it has one."""
 
     kind: str  # "tef1" | "tefx" | "atefx" | "tmms"
-    alpha: Fraction | None = None
+    alpha: Fraction | tuple[Fraction, ...] | None = None
 
     def __post_init__(self):
         if self.kind not in ("tef1", "tefx", "atefx", "tmms"):
             raise ValidationError(f"unknown concept kind {self.kind!r}")
         if (self.alpha is None) == (self.kind == "atefx"):
             raise ValidationError(f"{self.kind} with alpha {self.alpha}: atefx alone needs one")
+        if self.alpha is not None:
+            # one alpha for every agent, or a sequence of them in agent order
+            alpha = (_alpha(self.alpha) if isinstance(self.alpha, _SCALARS)
+                     else tuple(_alpha(a) for a in self.alpha))
+            object.__setattr__(self, "alpha", alpha)
 
     @classmethod
     def from_string(cls, text: str) -> "Concept":
         if text in ("tef1", "tefx", "tmms"):
             return cls(text)
         if text.startswith("atefx:"):
-            parts = [parse_rational(p) for p in text.split(":", 1)[1].split(",")]
-            for alpha in parts:
-                if not 0 < alpha <= 1:
-                    raise ValidationError(f"alpha must be in (0, 1], got {alpha}")
+            parts = text.split(":", 1)[1].split(",")
             # a comma list gives one bound per agent, in agent order
             return cls("atefx", parts[0] if len(parts) == 1 else tuple(parts))
         raise ValidationError(
@@ -77,6 +79,18 @@ class Concept:
                 return f"atefx:{self.alpha}"
             return "atefx:" + ",".join(str(a) for a in self.alpha)
         return self.kind
+
+
+# alpha specs read as one value for every agent
+_SCALARS = (Fraction, int, float, str)
+
+
+def _alpha(value) -> Fraction:
+    """One alpha, read by ``parse_rational`` and checked to lie in (0, 1]."""
+    alpha = parse_rational(value)
+    if not 0 < alpha <= 1:
+        raise ValidationError(f"alpha must be in (0, 1], got {alpha}")
+    return alpha
 
 
 @dataclass(frozen=True)
@@ -110,17 +124,11 @@ class Verdict:
 def _alphas(instance: TemporalInstance, alpha) -> list[Fraction]:
     """Normalize a scalar or per-agent alpha spec to a per-agent list."""
     n = instance.n_agents
-    if isinstance(alpha, (Fraction, int, float, str)):
-        alphas = [parse_rational(alpha)] * n
-    else:
-        alphas = [parse_rational(a) for a in alpha]
-        if len(alphas) != n:
-            raise ValidationError(
-                f"{len(alphas)} alpha values for {n} agents"
-            )
-    for a in alphas:
-        if not 0 < a <= 1:
-            raise ValidationError(f"alpha must be in (0, 1], got {a}")
+    if isinstance(alpha, _SCALARS):
+        return [_alpha(alpha)] * n
+    alphas = [_alpha(a) for a in alpha]
+    if len(alphas) != n:
+        raise ValidationError(f"{len(alphas)} alpha values for {n} agents")
     return alphas
 
 

@@ -7,7 +7,8 @@ decided, the bundle prefix at t is final, so a violation there kills the
 whole branch.  Prefixes whose bundles did not change inherit the previous
 verdict and are skipped.  Only rounds up to the one whose arrivals are
 being decided hold a prefix; a later round is built from the one before
-when the search reaches it.
+when the search reaches it.  A state at a round boundary whose subtree held
+no witness is skipped when the search meets it again.
 """
 
 from __future__ import annotations
@@ -43,8 +44,11 @@ class SearchOutcome:
 
     ``exists`` with a witness allocation, or a proof by exhaustion: every
     assignment in the pruned space was covered.  ``space_bound`` is the raw
-    assignment count before pruning and symmetry reduction;
-    ``nodes_visited`` counts attempted single-good decisions.
+    assignment count before pruning and symmetry reduction.
+    ``nodes_visited`` counts the single-good decisions of the pruned,
+    symmetry-reduced tree up to the witness; a subtree the search skips as
+    already exhausted counts the decisions it made the first time, so the
+    number is the same with or without that memo.
     """
 
     exists: bool
@@ -87,6 +91,15 @@ def search(
     is only listed under its round.  A round opens once every good that
     arrives before it is decided: it copies the previous round's bundles
     and matrix and adds the goods listed under it.
+
+    Every verdict from round a on, and the empty-agent rule, reads only the
+    value vectors each agent holds by round a - 1 and the decided goods
+    that land at a or later, with owner and round.  So at the first good of
+    each round the search records each such state whose subtree held no
+    witness, with the decisions made there (nogood recording); meeting it
+    again, it adds those decisions to ``nodes_visited`` and backtracks.
+    The outcome, the first witness and the count are those of the search
+    without this memo, which lives for one call.
     """
     goods = sorted(instance.goods, key=lambda g: (g.arrival, good_key(g.id)))
     m = len(goods)
@@ -126,6 +139,14 @@ def search(
     pick = REMOVAL.get(concept.kind)
     worth = [[[(0, None)] * n for _ in range(n)] if pick else None
              for _ in range(horizon + 1)]
+    # goods with one value vector are interchangeable in every verdict:
+    # kind[id] is the index of the first good with that good's vector
+    first: dict[tuple, int] = {}
+    kind = {g.id: first.setdefault(vector, k)
+            for k, (g, vector) in enumerate(zip(goods, zip(*rows)))}
+    # exhausted[k]: the states at good k (a round's first) whose subtree
+    # holds no witness, each with the decisions that subtree made
+    exhausted: list[dict[tuple, int]] = [{} for _ in goods]
     nodes = 0
 
     def open_round(s: int) -> None:
@@ -148,12 +169,27 @@ def search(
                 return False
         return True
 
+    def state(a: int) -> tuple:
+        """What every verdict from round a on reads: the kinds each agent
+        holds by round a - 1, and the decided goods that land at a or later."""
+        return (tuple([tuple(sorted([kind[g] for g in bundle])) for bundle in held[a - 1]]),
+                tuple(sorted([(kind[goods[k].id], j, t) for t in range(a, horizon + 1)
+                              for j, k in landed[t]])))
+
     def descend(k: int) -> bool:
         nonlocal nodes
         if k == m:
             return True
         a = goods[k].arrival
+        key = memo = None
         if k and a > goods[k - 1].arrival:
+            memo = exhausted[k]
+            if memo:  # no key is built before a state here is exhausted
+                key = state(a)
+                if key in memo:  # count the decisions the subtree made
+                    nodes += memo[key]
+                    return False
+            start = nodes
             open_round(a)
         for t in windows[k]:
             seen_rows = set()
@@ -179,6 +215,8 @@ def search(
                     if pick:
                         for row, entry in zip(worth[a], saved):
                             row[j] = entry
+        if memo is not None:  # the state is as on entry again
+            memo[key or state(a)] = nodes - start
         return False
 
     if descend(0):

@@ -334,6 +334,22 @@ class TestConcept:
         with pytest.raises(ValidationError):
             Concept.from_string(bad)
 
+    @pytest.mark.parametrize("alpha, text", [
+        ("1/2", "atefx:1/2"), (1, "atefx:1"), (F(2, 3), "atefx:2/3"),
+        (["1/2", 1], "atefx:1/2,1"), ((F(1, 3), "2/3"), "atefx:1/3,2/3"),
+    ])
+    def test_direct_alpha_is_normalized(self, alpha, text):
+        # any alpha the checkers accept is stored as from_string stores it,
+        # so it prints as text that parses back to an equal concept
+        c = Concept("atefx", alpha)
+        assert str(c) == text
+        assert c == Concept.from_string(text)
+
+    @pytest.mark.parametrize("alpha", [0, "3/2", 0.5, True, ["1/2", "0"]])
+    def test_direct_alpha_is_checked(self, alpha):
+        with pytest.raises(ValidationError):
+            Concept("atefx", alpha)
+
     @pytest.mark.parametrize("kind, alpha", [
         ("atefx", None), ("bogus", None), ("tefx", F(1, 2)), ("tmms", F(1)),
     ])

@@ -68,9 +68,11 @@ def test_agrees_with_unpruned_enumeration(concept):
 
 def _small_scheduled_instances(rng):
     """Scheduled instances whose raw space stays small enough to enumerate:
-    generated ones, identical days at buffer 2, and hand-built rounds where
-    round 2 has no arrivals, so the goods of round 1 close several rounds
-    and a deferred one lands in a round that nothing arrives in."""
+    generated ones, identical days at buffer 2, three agents on two
+    identical days where the search meets an exhausted round-2 state again,
+    and hand-built rounds where round 2 has no arrivals, so the goods of
+    round 1 close several rounds and a deferred one lands in a round that
+    nothing arrives in."""
     for trial in range(25):
         yield generate(
             rng.randint(1, 3),
@@ -83,6 +85,15 @@ def _small_scheduled_instances(rng):
     for trial in range(8):
         yield generate(2, rng.randint(2, 3), rng.randint(1, 2), rng.randint(2, 9),
                        seed=trial * 5 + 1, identical_days=True, buffer=2)
+    # a day of one good x and two equal goods y: either y can be the one
+    # placed at round 1 and the other the one held back, so the states at
+    # round 2 recur and the memo of exhausted states skips them (under
+    # tefx for every pair, under atefx:1/2 for the first six)
+    for x, y in [((0, 4, 4), (3, 0, 0)), ((4, 5, 3), (3, 0, 0)),
+                 ((1, 2, 2), (1, 0, 0)), ((0, 4, 1), (5, 0, 0)),
+                 ((2, 4, 2), (4, 0, 0)), ((4, 4, 5), (4, 0, 0)),
+                 ((4, 3, 5), (5, 1, 0)), ((2, 1, 5), (2, 0, 2))]:
+        yield TemporalInstance.from_value_rounds([[x, y, y]] * 2, buffer=2)
     made = 0
     while made < 12:
         n = rng.randint(1, 3)
@@ -185,11 +196,11 @@ def test_identical_valuations_reduction_still_finds_witness():
 
 
 # Nonexistence proofs on identical days (both agents value each good alike)
-# at buffer 2 with scheduling: the hottest path of the search, 1-3 s each
-# on a 2-core VM (3.4-4.4 us per node for the two envy proofs, 8.8-10.2 us
-# for the share proof).  The failed-state memo planned in ROADMAP.md (item
-# 2) will lower these node counts, and must update the literals here when
-# it does.
+# at buffer 2 with scheduling, the paper's negative results.  The search
+# meets the same round-boundary states again and again here; it skips each
+# one it has exhausted, in milliseconds for all three, and adds the
+# decisions the skipped subtree made, so these counts are those of the
+# full pruned, symmetry-reduced tree.
 @pytest.mark.parametrize(
     "days,horizon,concept,nodes",
     [
