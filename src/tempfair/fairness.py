@@ -121,17 +121,6 @@ class Verdict:
         }
 
 
-def _alphas(instance: TemporalInstance, alpha) -> list[Fraction]:
-    """Normalize a scalar or per-agent alpha spec to a per-agent list."""
-    n = instance.n_agents
-    if isinstance(alpha, _SCALARS):
-        return [_alpha(alpha)] * n
-    alphas = [_alpha(a) for a in alpha]
-    if len(alphas) != n:
-        raise ValidationError(f"{len(alphas)} alpha values for {n} agents")
-    return alphas
-
-
 # how each envy concept keeps its binding removal: up to one good removes
 # the best good, up to any good the cheapest
 REMOVAL = {"tef1": max, "tefx": min, "atefx": min}
@@ -200,7 +189,7 @@ def is_alpha_efx(instance: TemporalInstance, bundles: Bundles, alpha) -> bool:
 
     ``alpha`` is a Fraction in (0, 1] or a per-agent sequence of them.
     """
-    alphas = _alphas(instance, alpha)
+    alphas = concept_alphas(instance, Concept("atefx", alpha))
     worth = _worth(instance, _per_agent(instance, bundles), min)
     return _envy_violation(worth, alphas) is None
 
@@ -337,7 +326,12 @@ def concept_alphas(instance: TemporalInstance, concept: Concept) -> list[Fractio
     instance (one per agent, each in (0, 1]); None for other concepts."""
     if concept.kind != "atefx":
         return None
-    return _alphas(instance, concept.alpha)
+    n = instance.n_agents
+    if isinstance(concept.alpha, Fraction):
+        return [concept.alpha] * n
+    if len(concept.alpha) != n:
+        raise ValidationError(f"{len(concept.alpha)} alpha values for {n} agents")
+    return list(concept.alpha)
 
 
 def prefix_violation(instance, bundles, concept: Concept, alphas=None, worth=None):

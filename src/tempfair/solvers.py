@@ -69,8 +69,8 @@ def _by_vector(instance, day_ids: Sequence[str]) -> dict[tuple, list[str]]:
     return groups
 
 
-def _day_slots(instance, day_ids: Sequence[str]) -> dict[str, tuple]:
-    """Copy-slot key for each good of one day.
+def _slots(instance, days: Sequence[Sequence[str]]) -> dict[str, tuple]:
+    """Copy-slot key for each good of the given days.
 
     Goods of a day that share a value vector are interchangeable copies;
     when a vector repeats within the day, its occurrences are numbered so
@@ -79,16 +79,10 @@ def _day_slots(instance, day_ids: Sequence[str]) -> dict[str, tuple]:
     """
     return {
         gid: (vec, idx)
-        for vec, members in _by_vector(instance, day_ids).items()
+        for day in days
+        for vec, members in _by_vector(instance, day).items()
         for idx, gid in enumerate(members)
     }
-
-
-def _pool_slots(instance, days: Sequence[Sequence[str]]) -> dict[str, tuple]:
-    slots = {}
-    for day in days:
-        slots.update(_day_slots(instance, day))
-    return slots
 
 
 def _slot_copies(slots: dict[str, tuple]) -> dict[tuple, list[str]]:
@@ -133,9 +127,9 @@ def solve_tef1_house_t3(instance: TemporalInstance, trace=None) -> TemporalAlloc
         assert len(bundle) == 2, "2n goods over n agents give 2 picks each"
         a, b = bundle
         mate[a], mate[b] = b, a
-    by_slot2 = {slot: gid for gid, slot in _day_slots(instance, day2).items()}
+    by_slot2 = {slot: gid for gid, slot in _slots(instance, [day2]).items()}
     partner = {}
-    for gid, slot in _day_slots(instance, day1).items():
+    for gid, slot in _slots(instance, [day1]).items():
         partner[gid] = by_slot2[slot]
         partner[by_slot2[slot]] = gid
     color: dict[str, int] = {}
@@ -236,21 +230,22 @@ def solve_half_tefx_genbinary(instance: TemporalInstance, trace=None) -> Tempora
     each round boundary the exact pairwise conditions are enforced, so a
     returned allocation is fair by construction; if every routing dead
     ends, SolverFailure is raised rather than returning a bad allocation.
-    Failed round-start states are memoized as in ``_first_plan``, but the
-    route keeps its own stack: it has one stage per good, far more than
-    the call stack allows.
+    ``_first_plan`` walks the goods, one stage per good and no depth
+    limit; the state is the worth matrix in units of b, where agent i's
+    entry for bundle j is (goods in j that i values, removal): the removal
+    is None while j is empty, then 1 while i values every good in j and 0
+    once j holds one i values at 0.
     """
     setting = classify(instance)
     _require(setting.generalized_binary, "needs all values in {0, b}")
     agents = list(instance.agents)
     n = instance.n_agents
-    order = [g for round_ids in instance.rounds for g in round_ids]
-    round_end = {}  # index into order of each round's last good
-    pos = 0
-    for t, round_ids in enumerate(instance.rounds, start=1):
-        pos += len(round_ids)
+    order: list[str] = []
+    round_end = set()  # index into order of each round's last good
+    for round_ids in instance.rounds:
+        order.extend(round_ids)
         if round_ids:
-            round_end[pos - 1] = t
+            round_end.add(len(order) - 1)
     positive_for = {
         g: frozenset(_support(instance, g)) for g in order
     }
@@ -262,73 +257,36 @@ def solve_half_tefx_genbinary(instance: TemporalInstance, trace=None) -> Tempora
         for i in positive_for[g]:
             running[i] += 1
     supply_after.reverse()
-
-    # counts[i][j]: goods in j's bundle that i values; size[j]: goods in
-    # j's bundle, so size[j] > counts[i][j] when it holds one i values at 0
-    counts = [[0] * (n + 1) for _ in range(n + 1)]
-    size = [0] * (n + 1)
-    failed: set[tuple] = set()
     half = [Fraction(1, 2)] * n
 
-    def worth() -> tuple:
-        """Worth matrix in units of b: removal 0 if the bundle holds a good the agent values at 0."""
-        return tuple(
-            tuple((row[j], None if size[j] == 0 else int(size[j] == row[j])) for j in agents)
-            for row in counts[1:]
-        )
-
-    def candidates(k: int) -> list[int]:
+    def moves(k, worth):
+        """Each receiver of good k that passes its round-end check, with
+        the worth matrix after it."""
         support = positive_for[order[k]]
+        own = [row[i][0] for i, row in enumerate(worth)]  # the diagonal
         if support:
-            hungry = sorted(
-                (i for i in support if counts[i][i] == 0),
-                key=lambda i: (supply_after[k][i], i),
+            hungry = sorted((i for i in support if own[i - 1] == 0),
+                            key=lambda i: (supply_after[k][i], i))
+            fed = sorted((i for i in support if own[i - 1] > 0),
+                         key=lambda i: (own[i - 1], i))
+            tries = hungry + fed + [i for i in agents if i not in support]
+        else:
+            tries = sorted(agents, key=lambda i: (own[i - 1] != 0, -i))
+        wants = [i in support for i in agents]
+        for r in tries:
+            after = tuple(
+                row[:r - 1] + ((count + w, int(flag != 0 and w)),) + row[r:]
+                for w, row in zip(wants, worth)
+                for count, flag in (row[r - 1],)
             )
-            fed = sorted(
-                (i for i in support if counts[i][i] > 0),
-                key=lambda i: (counts[i][i], i),
-            )
-            rest = [i for i in agents if i not in support]
-            return hungry + fed + rest
-        return sorted(agents, key=lambda i: (counts[i][i] != 0, -i))
+            if k not in round_end or _envy_violation(after, half) is None:
+                yield r, after
 
-    round_start = {0} | {k + 1 for k in round_end if k + 1 < len(order)}
-
-    def receivers(k: int):
-        """Candidates for good k that pass its round-end check, each held
-        in the counts while it is yielded; none when k starts a round in
-        a state already known to fail."""
-        if k in round_start and (k, worth()) in failed:
-            return
-        support = positive_for[order[k]]
-        for receiver in candidates(k):
-            size[receiver] += 1
-            for i in support:
-                counts[i][receiver] += 1
-            if k not in round_end or _envy_violation(worth(), half) is None:
-                yield receiver
-            size[receiver] -= 1
-            for i in support:
-                counts[i][receiver] -= 1
-        if k in round_start:
-            failed.add((k, worth()))
-
-    # depth first with an explicit stack: one suspended generator per good
-    # on the current route, so the depth is not bound by the call stack
-    picks: list[int] = []
-    pending = [receivers(0)]
-    while len(picks) < len(order):
-        receiver = next(pending[-1], None)
-        if receiver is not None:
-            picks.append(receiver)
-            pending.append(receivers(len(picks)))
-            continue
-        pending.pop()
-        if not picks:
-            raise SolverFailure(
-                "no routing keeps every prefix half-envy-free up to any good"
-            )
-        picks.pop()
+    picks = _first_plan(len(order), moves, (((0, None),) * n,) * n)
+    if picks is None:
+        raise SolverFailure(
+            "no routing keeps every prefix half-envy-free up to any good"
+        )
     owner = dict(zip(order, picks))
     for g in order:
         _record(trace, owner[g], g, "half-route")
@@ -507,7 +465,7 @@ def solve_tef1_identical_days_scheduled(instance: TemporalInstance, trace=None) 
         mid_round = base + half_up
         phase1_days = [instance.rounds[base + d] for d in range(half_up)]
         phase1_pool = [g for day in phase1_days for g in day]
-        slots = _pool_slots(instance, phase1_days)
+        slots = _slots(instance, phase1_days)
         picked = envy_ordered_pick_rounds(
             phase1_pool, slots, values, agents, trace=trace
         )
@@ -516,7 +474,7 @@ def solve_tef1_identical_days_scheduled(instance: TemporalInstance, trace=None) 
 
         phase2_days = [instance.rounds[base + d] for d in range(half_up, n)]
         end_round = base + n
-        for slot, copies in _slot_copies(_pool_slots(instance, phase2_days)).items():
+        for slot, copies in _slot_copies(_slots(instance, phase2_days)).items():
             holders = {owner[g] for g in held[slot]}
             lacking = [i for i in agents if i not in holders]
             assert len(lacking) == len(copies), "completion counts must match"
@@ -573,7 +531,7 @@ def solve_tefx_identical_days_scheduled_two(instance: TemporalInstance, trace=No
         # pairs of identical days split one copy per agent: exact equality
         for k in range(T // 2):
             days = [instance.rounds[2 * k], instance.rounds[2 * k + 1]]
-            for first, second in _slot_copies(_pool_slots(instance, days)).values():
+            for first, second in _slot_copies(_slots(instance, days)).values():
                 _hand_out({1: [first], 2: [second]}, owner, placement, 2 * k + 2)
         return _allocation(instance, owner, placement)
 
@@ -652,22 +610,31 @@ def _first_plan(depth, moves, start):
     """The first moves, depth first, that take ``start`` through stages
     0 .. depth - 1, or None.  ``moves(p, state)`` yields stage p's passing
     (move, next state) pairs in the order to try them; a (stage, state)
-    pair with no plan is memoized."""
+    pair with no plan is memoized.
+
+    The one depth-first walker of the solvers: the half-TEFX router, the
+    pool-split search and the window search.  It keeps one suspended
+    ``moves`` generator per stage on its own stack, so the depth has no
+    limit.
+    """
+    if depth == 0:
+        return []
     failed: set[tuple] = set()
-
-    def walk(p, state):
-        if p == depth:
-            return []
-        if (p, state) in failed:
-            return None
-        for move, after in moves(p, state):
-            tail = walk(p + 1, after)
-            if tail is not None:
-                return [move] + tail
-        failed.add((p, state))
-        return None
-
-    return walk(0, start)
+    # (move into the stage, state, its moves) per stage on the current path
+    path = [(None, start, moves(0, start))]
+    while path:
+        p = len(path) - 1
+        _, state, options = path[-1]
+        for move, after in options:
+            if p + 1 == depth:
+                return [m for m, _, _ in path[1:]] + [move]
+            if (p + 1, after) not in failed:
+                path.append((move, after, moves(p + 1, after)))
+                break
+        else:
+            failed.add((p, state))
+            path.pop()
+    return None
 
 
 def _search_pool_splits(instance, pools):

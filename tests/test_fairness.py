@@ -292,9 +292,10 @@ class TestMmsShare:
         lambda: mms_share([True, 2], 2),
         lambda: is_alpha_efx(make_instance([[(1, 1)]]), ({"g1"}, set()), [0.5, 1.0]),
         lambda: is_alpha_efx(make_instance([[(1, 1)]]), ({"g1"}, set()), 0.5),
+        lambda: is_alpha_efx(make_instance([[(1, 1)]]), ({"g1"}, set()), None),
     ],
     ids=["float-value", "bool-value", "float-pool", "bool-pool",
-         "float-alphas", "float-alpha"],
+         "float-alphas", "float-alpha", "no-alpha"],
 )
 def test_python_entry_points_reject_floats_and_bools(call):
     with pytest.raises(ValidationError):

@@ -1,5 +1,6 @@
 """Per-setting solvers: precondition gates, certified concepts, structure."""
 
+import collections
 import functools
 import itertools
 import random
@@ -12,7 +13,7 @@ from tempfair.errors import PreconditionError, SolverFailure
 from tempfair.fairness import check_temporal
 from tempfair.generators import generate
 from tempfair.model import TemporalInstance, prefix
-from tempfair.solvers import SOLVERS
+from tempfair.solvers import SOLVERS, _first_plan
 
 from oracles import naive_efx, naive_mms_share, values_of
 
@@ -244,6 +245,41 @@ def test_half_genbinary_routes_past_the_recursion_limit():
     certify("half-tefx-genbinary", instance)
 
 
+class TestFirstPlan:
+    def test_no_stages(self):
+        assert _first_plan(0, None, "start") == []
+
+    def test_no_plan(self):
+        def moves(p, state):  # every path dies at stage 2
+            if p < 2:
+                yield from ((m, state + m) for m in (0, 1))
+        assert _first_plan(3, moves, 0) is None
+
+    def test_failed_state_is_walked_once(self):
+        calls = collections.Counter()
+
+        def moves(p, state):
+            calls[p, state] += 1
+            if p == 0:  # a and b reach the same dead state
+                yield from (("a", 1), ("b", 1), ("c", 2))
+            elif state == 2:
+                yield "z", 0
+        assert _first_plan(2, moves, 0) == ["c", "z"]
+        assert calls == {(0, 0): 1, (1, 1): 1, (1, 2): 1}
+
+    def test_deep_chain(self):
+        # one stage per link, far past the interpreter's recursion limit,
+        # each stage trying a dead end first
+        depth = 5000
+
+        def moves(p, state):
+            if state >= 0:
+                if p + 1 < depth:
+                    yield "dead", -1
+                yield p, state + 1
+        assert _first_plan(depth, moves, 0) == list(range(depth))
+
+
 class TestHouseT3Structure:
     def test_one_good_per_agent_per_round(self):
         day = [(3, 1, 4), (1, 5, 9), (2, 6, 5)]
@@ -321,6 +357,12 @@ class TestScheduledTwoAgents:
         # one cheap and one expensive good per day forces uneven splits
         day = [(1, 1), (10, 10)]
         instance = make_instance([day] * 5, buffer=2)
+        certify("tefx-identical-days-scheduled-two", instance)
+
+    def test_long_odd_horizon(self):
+        # 1 000 pooled rounds, one search stage each: far past the
+        # interpreter's recursion limit
+        instance = generate(2, 1999, 1, 9, 1, identical_days=True, buffer=2)
         certify("tefx-identical-days-scheduled-two", instance)
 
     @pytest.mark.parametrize("day, horizon, buffer, steps", [
