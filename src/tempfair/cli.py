@@ -1,11 +1,13 @@
 """Command line front end.
 
-Every subcommand prints a single JSON document on stdout so output can be
-piped or pinned in golden files.  Exit code 0 means success and a true
-verdict, 1 a false verdict (a failed check, a non-existent allocation, a
-fixture mismatch, a solver dead end), 2 a usage or validation problem.
-``main`` may be called repeatedly in one process; the argument parser is
-built on the first call and reused.
+Every subcommand handler returns its result and an exit code; ``main``
+alone writes that result as one JSON document, tagged with ``FORMAT``, to
+the ``-o`` file or stdout, so output can be piped or pinned in golden
+files.  Exit code 0 means success and a true verdict, 1 a false verdict
+(a failed check, a non-existent allocation, a fixture mismatch, a solver
+dead end), 2 a usage or validation problem, an unwritable ``-o`` file
+included.  ``main`` may be called repeatedly in one process; the argument
+parser is built on the first call and reused.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import json
 import sys
 from functools import lru_cache
 
-from .errors import SolverFailure, TempfairError
+from .errors import SolverFailure, TempfairError, ValidationError
 from .fairness import Concept, check_temporal
 from .generators import generate
 from .model import (
@@ -41,106 +43,60 @@ SETTING_FLAGS = {
 }
 
 
-def _emit(payload: dict, path: str | None) -> None:
-    text = json.dumps(payload, indent=2)
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
-
-
-def _cmd_classify(args) -> int:
+def _cmd_classify(args) -> tuple[dict, int]:
     instance = load_instance(args.instance)
-    setting = classify(instance)
-    _emit(
-        {
-            "format": FORMAT,
-            "agents": instance.n_agents,
-            "rounds": instance.horizon,
-            "goods": len(instance.goods),
-            "buffer": instance.buffer,
-            "setting": setting.flags(),
-        },
-        args.output,
-    )
-    return 0
+    return {
+        "agents": instance.n_agents,
+        "rounds": instance.horizon,
+        "goods": len(instance.goods),
+        "buffer": instance.buffer,
+        "setting": classify(instance).flags(),
+    }, 0
 
 
-def _cmd_solve(args) -> int:
+def _cmd_solve(args) -> tuple[dict, int]:
     instance = load_instance(args.instance)
     entry = SOLVERS.get(args.alg)
     if entry is None:
         known = ", ".join(sorted(SOLVERS))
-        print(f"error: unknown algorithm {args.alg!r}; one of: {known}",
-              file=sys.stderr)
-        return 2
+        raise ValidationError(f"unknown algorithm {args.alg!r}; one of: {known}")
     trace: list | None = [] if args.trace else None
-    allocation = entry.run(instance, trace=trace)
-    payload = {"format": FORMAT, **allocation_to_json(allocation)}
+    payload = allocation_to_json(entry.run(instance, trace=trace))
     if trace is not None:
         payload["trace"] = trace
-    _emit(payload, args.output)
-    return 0
+    return payload, 0
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> tuple[dict, int]:
     instance = load_instance(args.instance)
     allocation = load_allocation(args.allocation)
     concept = Concept.from_string(args.concept)
     verdict = check_temporal(instance, allocation, concept)
-    _emit(
-        {"format": FORMAT, "concept": str(concept), **verdict.to_json()},
-        args.output,
-    )
-    return 0 if verdict.holds else 1
+    return {"concept": str(concept), **verdict.to_json()}, 0 if verdict.holds else 1
 
 
-def _cmd_search(args) -> int:
+def _cmd_search(args) -> tuple[dict, int]:
     instance = load_instance(args.instance)
     concept = Concept.from_string(args.concept)
     outcome = search(instance, concept, use_scheduling=args.schedule)
-    _emit(
-        {
-            "format": FORMAT,
-            "concept": str(concept),
-            "scheduled": args.schedule,
-            **outcome.to_json(),
-        },
-        args.output,
-    )
-    return 0 if outcome.exists else 1
+    payload = {"concept": str(concept), "scheduled": args.schedule, **outcome.to_json()}
+    return payload, 0 if outcome.exists else 1
 
 
-def _cmd_gen(args) -> int:
-    flags = SETTING_FLAGS[args.setting]
+def _cmd_gen(args) -> tuple[dict, int]:
     instance = generate(
-        args.agents,
-        args.rounds,
-        args.per_round,
-        args.cap,
-        args.seed,
-        min_value=args.min_value,
-        buffer=args.buffer,
-        **flags,
+        args.agents, args.rounds, args.per_round, args.cap, args.seed,
+        min_value=args.min_value, buffer=args.buffer, **SETTING_FLAGS[args.setting],
     )
-    _emit({"format": FORMAT, **instance_to_json(instance)}, args.output)
-    return 0
+    return instance_to_json(instance), 0
 
 
-def _cmd_verify_paper(args) -> int:
+def _cmd_verify_paper(args) -> tuple[dict, int]:
     rows = verify_counterexamples()
-    payload = {
-        "format": FORMAT,
-        "ok": all(r.ok for r in rows),
-        "fixtures": [r.to_json() for r in rows],
-    }
-    _emit(payload, args.output)
-    if payload["ok"]:
-        return 0
-    mismatched = ", ".join(r.name for r in rows if not r.ok)
-    print(f"verification failed: {mismatched}", file=sys.stderr)
-    return 1
+    bad = [r.name for r in rows if not r.ok]
+    if bad:
+        print(f"verification failed: {', '.join(bad)}", file=sys.stderr)
+    return {"ok": not bad, "fixtures": [r.to_json() for r in rows]}, 1 if bad else 0
 
 
 @lru_cache(maxsize=None)
@@ -218,7 +174,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        payload, code = args.handler(args)
+        text = json.dumps({"format": FORMAT, **payload}, indent=2)
+        if args.output:
+            with open(args.output, "w") as fh:
+                fh.write(text + "\n")
+        else:
+            print(text)
+        return code
     except SolverFailure as exc:
         print(f"solver failed: {exc}", file=sys.stderr)
         return 1

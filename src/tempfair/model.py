@@ -101,6 +101,8 @@ class TemporalInstance:
     buffer: int = 1
 
     def __post_init__(self):
+        for field in ("n_agents", "horizon", "buffer"):
+            _json_int(getattr(self, field), field)
         if self.n_agents < 1:
             raise ValidationError("need at least one agent")
         if self.horizon < 1:
@@ -174,36 +176,22 @@ class TemporalInstance:
         """Build an instance from per-round lists of per-agent value vectors.
 
         ``value_rounds[t][k]`` is the value vector of the k-th good arriving
-        at round t+1, each value read by ``parse_rational``.  Ids are
-        generated as g1, g2, ... zero-padded so the canonical good order
-        matches creation order.
+        at round t+1.  Ids are generated as g1, g2, ... zero-padded so the
+        canonical good order matches creation order; ``instance_from_json``
+        then reads each value by ``parse_rational`` and checks the instance.
         """
         total = sum(len(r) for r in value_rounds)
-        width = len(str(total)) if total else 1
-        literals = _Literals()
-        n = None
-        goods = []
-        counter = 0
-        for t, round_goods in enumerate(value_rounds, start=1):
-            for vec in round_goods:
-                if n is None:
-                    n = len(vec)
-                counter += 1
-                goods.append(
-                    Good(
-                        id=f"g{counter:0{width}d}",
-                        arrival=t,
-                        values=literals.vector(vec),
-                    )
-                )
-        if n is None:
+        if not total:
             raise ValidationError("instance has no goods")
-        return cls(
-            n_agents=n,
-            horizon=len(value_rounds),
-            goods=tuple(goods),
-            buffer=buffer,
-        )
+        ids = (f"g{k:0{len(str(total))}d}" for k in range(1, total + 1))
+        rounds = [[next(ids) for _ in r] for r in value_rounds]
+        vectors = [list(vec) for r in value_rounds for vec in r]
+        return instance_from_json({
+            "agents": len(vectors[0]),
+            "buffer": buffer,
+            "rounds": rounds,
+            "values": dict(zip((gid for r in rounds for gid in r), vectors)),
+        })
 
 
 @dataclass(frozen=True)
@@ -365,7 +353,7 @@ def instance_to_json(instance: TemporalInstance) -> dict:
 
 
 def _json_int(value, what: str) -> int:
-    """An int read from JSON; bools are ints in Python but not here."""
+    """An int, but not a bool: bools are ints in Python but not here."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValidationError(f"{what} must be an integer, got {value!r}")
     return value

@@ -127,11 +127,9 @@ def solve_tef1_house_t3(instance: TemporalInstance, trace=None) -> TemporalAlloc
         assert len(bundle) == 2, "2n goods over n agents give 2 picks each"
         a, b = bundle
         mate[a], mate[b] = b, a
-    by_slot2 = {slot: gid for gid, slot in _slots(instance, [day2]).items()}
     partner = {}
-    for gid, slot in _slots(instance, [day1]).items():
-        partner[gid] = by_slot2[slot]
-        partner[by_slot2[slot]] = gid
+    for a, b in _slot_copies(_slots(instance, [day1, day2])).values():
+        partner[a], partner[b] = b, a
     color: dict[str, int] = {}
     for start in sorted(partner, key=good_key):
         g = start
@@ -201,22 +199,13 @@ def solve_tefx_genbinary_two(instance: TemporalInstance, trace=None) -> Temporal
 
 
 def solve_tefx_genbinary_identical(instance: TemporalInstance, trace=None) -> TemporalAllocation:
-    """All agents value goods identically at 0 or b: cycle the positive
-    goods through agents 1..n and park every zero good with agent n."""
+    """All agents value goods identically at 0 or b: the least-total rule,
+    which cycles the positive goods through agents 1..n and parks every
+    zero good with agent n."""
     setting = classify(instance)
     _require(setting.generalized_binary, "needs all values in {0, b}")
     _require(setting.identical_valuation, "needs identical valuations")
-    n = instance.n_agents
-    owner = {}
-    positive_seen = 0
-    for round_ids in instance.rounds:
-        for gid in round_ids:
-            if instance.value_table[1][gid] > 0:
-                owner[gid] = positive_seen % n + 1
-                positive_seen += 1
-            else:
-                owner[gid] = n
-    return _allocation(instance, owner)
+    return _least_total_first(instance)
 
 
 def solve_half_tefx_genbinary(instance: TemporalInstance, trace=None) -> TemporalAllocation:
@@ -373,10 +362,13 @@ def solve_half_tefx_identical_days_two(instance: TemporalInstance, trace=None) -
 # --- identical valuations ------------------------------------------------------
 
 def solve_alpha_tefx_identical_valuation(instance: TemporalInstance, trace=None) -> TemporalAllocation:
-    """All agents share one valuation: every positive good goes to whoever
-    currently has least; zero goods go to agent n."""
-    setting = classify(instance)
-    _require(setting.identical_valuation, "needs identical valuations")
+    _require(classify(instance).identical_valuation, "needs identical valuations")
+    return _least_total_first(instance)
+
+
+def _least_total_first(instance):
+    """One shared valuation: every positive good goes to whoever currently
+    has least, the lowest index on ties; zero goods go to agent n."""
     totals = {i: 0 for i in instance.agents}
     owner = {}
     for round_ids in instance.rounds:

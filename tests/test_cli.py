@@ -182,6 +182,28 @@ def test_usage_and_validation_exit_two(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_unknown_algorithm_message(capsys):
+    assert main(["solve", str(INSTANCE), "--alg", "nope"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: unknown algorithm 'nope'; one of: alpha-tefx-identical-valuation, "
+        "alpha-tefx-positive, half-tefx-genbinary, half-tefx-identical-days-two, "
+        "rr-bivalued, tef1-house-t3, tef1-identical-days-scheduled, "
+        "tefx-genbinary-identical, tefx-genbinary-two, "
+        "tefx-identical-days-scheduled-two\n"
+    )
+
+
+def test_unwritable_output_exits_two(tmp_path, capsys):
+    out = tmp_path / "missing" / "out.json"
+    assert main(["classify", str(INSTANCE), "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_search_cap_exit_two(tmp_path, capsys):
     inst = tmp_path / "big.json"
     assert main(["gen", "--agents", "2", "--rounds", "19", "--per-round", "1",

@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from tempfair.errors import BufferViolation, ValidationError
+from tempfair.generators import generate
 from tempfair.model import (
     Good,
     TemporalAllocation,
@@ -117,6 +118,20 @@ class TestInstanceConstruction:
     def test_rejects_bad_buffer(self):
         with pytest.raises(ValidationError):
             make_instance([[(1,)]], buffer=0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: make_instance([[(1,)]], buffer=True),
+    lambda: make_instance([[(1,)]], buffer=1.5),
+    lambda: generate(2, 3, 1, 5, 1, buffer=2.5),
+    lambda: TemporalInstance(n_agents=True, horizon=1, goods=()),
+    lambda: TemporalInstance(n_agents=1, horizon=1.0, goods=()),
+    lambda: TemporalInstance(n_agents=1, horizon=1, goods=(), buffer=False),
+], ids=["value-rounds-buffer-bool", "value-rounds-buffer-float", "generate-buffer-float",
+        "agents-bool", "horizon-float", "buffer-false"])
+def test_instance_counts_must_be_ints(build):
+    with pytest.raises(ValidationError, match="must be an integer"):
+        build()
 
 
 class TestPrefixAndValidate:

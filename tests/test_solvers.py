@@ -107,12 +107,14 @@ class TestPreconditions:
             SOLVERS["tefx-genbinary-two"].run(make_instance([[(2, 3)]]))
 
     def test_genbinary_identical_gates(self):
-        with pytest.raises(PreconditionError):
-            SOLVERS["tefx-genbinary-identical"].run(
-                make_instance([[(2, 0)]])
-            )
-        with pytest.raises(PreconditionError):
-            SOLVERS["tefx-genbinary-identical"].run(make_instance([[(2, 3)]]))
+        run = SOLVERS["tefx-genbinary-identical"].run
+        with pytest.raises(PreconditionError, match=r"^needs identical valuations$"):
+            run(make_instance([[(2, 0)]]))
+        # neither {0, b} nor identical: the {0, b} gate speaks first
+        with pytest.raises(PreconditionError, match=r"^needs all values in \{0, b\}$"):
+            run(make_instance([[(2, 3)]]))
+        with pytest.raises(PreconditionError, match=r"^needs all values in \{0, b\}$"):
+            run(make_instance([[(2, 2), (3, 3)]]))
 
     def test_half_genbinary_gate(self):
         with pytest.raises(PreconditionError):
@@ -236,6 +238,26 @@ def test_deterministic(name):
     second = SOLVERS[name].run(instance2)
     assert first.owner == second.owner
     assert first.placement == second.placement
+
+
+def test_genbinary_identical_is_the_least_total_rule():
+    # one positive level: least total first deals the positive goods to
+    # agents 1..n in turn, and both solvers park zero goods with agent n
+    for seed in range(200):
+        rng = random.Random(seed)
+        n = rng.randint(1, 5)
+        instance = generate(n, rng.randint(1, 6), rng.randint(1, 4),
+                            rng.choice([1, 9, 10**6]), seed,
+                            generalized_binary=True, identical_valuation=True)
+        traces = {name: [] for name in ("tefx-genbinary-identical",
+                                        "alpha-tefx-identical-valuation")}
+        owners = [SOLVERS[name].run(instance, trace=trace).owner
+                  for name, trace in traces.items()]
+        dealt = itertools.count()
+        cyclic = {g.id: next(dealt) % n + 1 if g.values[0] > 0 else n
+                  for g in instance.goods}
+        assert owners == [cyclic, cyclic], seed
+        assert list(traces.values()) == [[], []]
 
 
 def test_half_genbinary_routes_past_the_recursion_limit():
