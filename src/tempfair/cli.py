@@ -1,13 +1,15 @@
 """Command line front end.
 
-Every subcommand handler returns its result and an exit code; ``main``
-alone writes that result as one JSON document, tagged with ``FORMAT``, to
-the ``-o`` file or stdout, so output can be piped or pinned in golden
-files.  Exit code 0 means success and a true verdict, 1 a false verdict
-(a failed check, a non-existent allocation, a fixture mismatch, a solver
-dead end), 2 a usage or validation problem, an unwritable ``-o`` file
-included.  ``main`` may be called repeatedly in one process; the argument
-parser is built on the first call and reused.
+Every subcommand handler returns its result and an exit code, plus an
+optional note for stderr; ``main`` alone writes that result as one JSON
+document, tagged with ``FORMAT``, to the ``-o`` file or stdout, and prints
+the note only after that write succeeds.  Documents carry no timings, so
+each can be piped or pinned in golden files.  Exit code 0 means success
+and a true verdict, 1 a false verdict (a failed check, a non-existent
+allocation, a fixture mismatch, a solver dead end), 2 a usage or
+validation problem, an unwritable ``-o`` file included.  ``main`` may be
+called repeatedly in one process; the argument parser is built on the
+first call and reused.
 """
 
 from __future__ import annotations
@@ -91,12 +93,13 @@ def _cmd_gen(args) -> tuple[dict, int]:
     return instance_to_json(instance), 0
 
 
-def _cmd_verify_paper(args) -> tuple[dict, int]:
+def _cmd_verify_paper(args) -> tuple:
     rows = verify_counterexamples()
     bad = [r.name for r in rows if not r.ok]
+    payload = {"ok": not bad, "fixtures": [r.to_json() for r in rows]}
     if bad:
-        print(f"verification failed: {', '.join(bad)}", file=sys.stderr)
-    return {"ok": not bad, "fixtures": [r.to_json() for r in rows]}, 1 if bad else 0
+        return payload, 1, f"verification failed: {', '.join(bad)}"
+    return payload, 0
 
 
 @lru_cache(maxsize=None)
@@ -112,13 +115,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_output(p):
-        p.add_argument("-o", "--output", metavar="FILE",
-                       help="write the JSON result here instead of stdout")
-
     p = sub.add_parser("classify", help="report an instance's structure flags")
     p.add_argument("instance", help="instance JSON file")
-    add_output(p)
     p.set_defaults(handler=_cmd_classify)
 
     p = sub.add_parser("solve", help="run a registered algorithm")
@@ -127,7 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="algorithm name; see the registry in the README")
     p.add_argument("--trace", action="store_true",
                    help="include per-step decisions in the output")
-    add_output(p)
     p.set_defaults(handler=_cmd_solve)
 
     p = sub.add_parser("check", help="check an allocation at every prefix")
@@ -135,7 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("allocation")
     p.add_argument("--concept", required=True,
                    help="tef1 | tefx | atefx:<alpha> | tmms (alpha exact, e.g. 1/2)")
-    add_output(p)
     p.set_defaults(handler=_cmd_check)
 
     p = sub.add_parser("search", help="exhaustively decide existence")
@@ -143,7 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--concept", required=True)
     p.add_argument("--schedule", action="store_true",
                    help="also enumerate placements within the buffer window")
-    add_output(p)
     p.set_defaults(handler=_cmd_search)
 
     p = sub.add_parser("gen", help="generate a seeded random instance")
@@ -158,29 +153,32 @@ def build_parser() -> argparse.ArgumentParser:
                    help="smallest drawn value (1 forces positive)")
     p.add_argument("--buffer", type=int, default=1,
                    help="placement window width for scheduling")
-    add_output(p)
     p.set_defaults(handler=_cmd_gen)
 
     p = sub.add_parser(
         "verify-paper",
         help="re-derive the bundled existence verdicts by exhaustive search",
     )
-    add_output(p)
     p.set_defaults(handler=_cmd_verify_paper)
 
+    for p in sub.choices.values():
+        p.add_argument("-o", "--output", metavar="FILE",
+                       help="write the JSON result here instead of stdout")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        payload, code = args.handler(args)
+        payload, code, *note = args.handler(args)
         text = json.dumps({"format": FORMAT, **payload}, indent=2)
         if args.output:
             with open(args.output, "w") as fh:
                 fh.write(text + "\n")
         else:
-            print(text)
+            print(text, flush=True)  # before the note, whatever the buffering
+        for line in note:
+            print(line, file=sys.stderr)
         return code
     except SolverFailure as exc:
         print(f"solver failed: {exc}", file=sys.stderr)

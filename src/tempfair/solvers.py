@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import PreconditionError, SolverFailure
-from .fairness import Concept, _envy_violation, _int_share
+from .fairness import Concept, _envy_violation, _int_share, fold
 from .model import (
     TemporalAllocation,
     TemporalInstance,
@@ -69,27 +69,20 @@ def _by_vector(instance, day_ids: Sequence[str]) -> dict[tuple, list[str]]:
     return groups
 
 
-def _slots(instance, days: Sequence[Sequence[str]]) -> dict[str, tuple]:
-    """Copy-slot key for each good of the given days.
+def _slot_copies(instance, days: Sequence[Sequence[str]]) -> dict[tuple, list[str]]:
+    """The goods of each copy slot of the given days, in id order, slots in
+    order of first good.
 
     Goods of a day that share a value vector are interchangeable copies;
     when a vector repeats within the day, its occurrences are numbered so
-    that each slot appears exactly once per day.  Slot keys are therefore
-    comparable across days of an identical-days instance.
+    that each slot (vector, occurrence) holds one good per day.  Slots are
+    therefore comparable across days of an identical-days instance.
     """
-    return {
-        gid: (vec, idx)
-        for day in days
-        for vec, members in _by_vector(instance, day).items()
-        for idx, gid in enumerate(members)
-    }
-
-
-def _slot_copies(slots: dict[str, tuple]) -> dict[tuple, list[str]]:
-    """The goods of each slot in id order, slots in order of first good."""
     copies: dict[tuple, list[str]] = {}
-    for g, slot in slots.items():
-        copies.setdefault(slot, []).append(g)
+    for day in days:
+        for vec, members in _by_vector(instance, day).items():
+            for idx, gid in enumerate(members):
+                copies.setdefault((vec, idx), []).append(gid)
     return {slot: sorted(goods, key=good_key) for slot, goods in copies.items()}
 
 
@@ -128,7 +121,7 @@ def solve_tef1_house_t3(instance: TemporalInstance, trace=None) -> TemporalAlloc
         a, b = bundle
         mate[a], mate[b] = b, a
     partner = {}
-    for a, b in _slot_copies(_slots(instance, [day1, day2])).values():
+    for a, b in _slot_copies(instance, [day1, day2]).values():
         partner[a], partner[b] = b, a
     color: dict[str, int] = {}
     for start in sorted(partner, key=good_key):
@@ -220,10 +213,8 @@ def solve_half_tefx_genbinary(instance: TemporalInstance, trace=None) -> Tempora
     returned allocation is fair by construction; if every routing dead
     ends, SolverFailure is raised rather than returning a bad allocation.
     ``_first_plan`` walks the goods, one stage per good and no depth
-    limit; the state is the worth matrix in units of b, where agent i's
-    entry for bundle j is (goods in j that i values, removal): the removal
-    is None while j is empty, then 1 while i values every good in j and 0
-    once j holds one i values at 0.
+    limit; the state is the worth matrix of ``fold`` in units of b, with
+    the cheapest good as each bundle's removal.
     """
     setting = classify(instance)
     _require(setting.generalized_binary, "needs all values in {0, b}")
@@ -238,6 +229,8 @@ def solve_half_tefx_genbinary(instance: TemporalInstance, trace=None) -> Tempora
     positive_for = {
         g: frozenset(_support(instance, g)) for g in order
     }
+    # each agent's value of the k-th good in units of b
+    units = [[int(i in positive_for[g]) for g in order] for i in agents]
     # future supply of wanted goods per agent, excluding the current good
     supply_after = []
     running = {i: 0 for i in agents}
@@ -261,13 +254,10 @@ def solve_half_tefx_genbinary(instance: TemporalInstance, trace=None) -> Tempora
             tries = hungry + fed + [i for i in agents if i not in support]
         else:
             tries = sorted(agents, key=lambda i: (own[i - 1] != 0, -i))
-        wants = [i in support for i in agents]
         for r in tries:
-            after = tuple(
-                row[:r - 1] + ((count + w, int(flag != 0 and w)),) + row[r:]
-                for w, row in zip(wants, worth)
-                for count, flag in (row[r - 1],)
-            )
+            after = [list(row) for row in worth]
+            fold(after, r - 1, k, units, min)
+            after = tuple(map(tuple, after))
             if k not in round_end or _envy_violation(after, half) is None:
                 yield r, after
 
@@ -297,8 +287,9 @@ def solve_alpha_tefx_positive(instance: TemporalInstance, trace=None) -> Tempora
     leave someone empty-handed in that round and sink the ratio, so they
     are refused.
     """
-    for g in instance.goods:
-        _require(all(v > 0 for v in g.values), "needs strictly positive values")
+    rows = instance.value_table.values()
+    _require(all(v > 0 for row in rows for v in row.values()),
+             "needs strictly positive values")
     for t, round_ids in enumerate(instance.rounds, start=1):
         _require(
             len(round_ids) >= instance.n_agents,
@@ -319,12 +310,11 @@ def alpha_positive_bounds(instance: TemporalInstance) -> tuple[Fraction, ...]:
     m_i / (2 m_i + M_i); all goods equal gives 1/3.
     """
     bounds = []
-    for i in instance.agents:
-        vals = [g.values[i - 1] for g in instance.goods]
-        lo, hi = min(vals), max(vals)
+    for row in instance.value_table.values():
+        lo, hi = min(row.values()), max(row.values())
         if lo <= 0:
             raise PreconditionError("needs strictly positive values")
-        bounds.append(lo / (2 * lo + hi))
+        bounds.append(Fraction(lo, 2 * lo + hi))
     return tuple(bounds)
 
 
@@ -385,12 +375,12 @@ def _least_total_first(instance):
 
 def alpha_identical_bound(instance: TemporalInstance) -> Fraction:
     """Certified ratio min+ / (max + min+); 1 when nothing has value."""
-    positives = [v for g in instance.goods for v in (g.values[0],) if v > 0]
+    column = instance.value_table[1].values()
+    positives = [v for v in column if v > 0]
     if not positives:
         return Fraction(1)
-    top = max(g.values[0] for g in instance.goods)
-    low = min(positives)
-    return low / (top + low)
+    top, low = max(column), min(positives)
+    return Fraction(low, top + low)
 
 
 # --- bi-valued ----------------------------------------------------------------
@@ -457,16 +447,16 @@ def solve_tef1_identical_days_scheduled(instance: TemporalInstance, trace=None) 
         mid_round = base + half_up
         phase1_days = [instance.rounds[base + d] for d in range(half_up)]
         phase1_pool = [g for day in phase1_days for g in day]
-        slots = _slots(instance, phase1_days)
+        held = _slot_copies(instance, phase1_days)
+        slots = {g: slot for slot, copies in held.items() for g in copies}
         picked = envy_ordered_pick_rounds(
             phase1_pool, slots, values, agents, trace=trace
         )
         _hand_out(picked, owner, placement, mid_round)
-        held = _slot_copies(slots)
 
         phase2_days = [instance.rounds[base + d] for d in range(half_up, n)]
         end_round = base + n
-        for slot, copies in _slot_copies(_slots(instance, phase2_days)).items():
+        for slot, copies in _slot_copies(instance, phase2_days).items():
             holders = {owner[g] for g in held[slot]}
             lacking = [i for i in agents if i not in holders]
             assert len(lacking) == len(copies), "completion counts must match"
@@ -523,27 +513,19 @@ def solve_tefx_identical_days_scheduled_two(instance: TemporalInstance, trace=No
         # pairs of identical days split one copy per agent: exact equality
         for k in range(T // 2):
             days = [instance.rounds[2 * k], instance.rounds[2 * k + 1]]
-            for first, second in _slot_copies(_slots(instance, days)).values():
+            for first, second in _slot_copies(instance, days).values():
                 _hand_out({1: [first], 2: [second]}, owner, placement, 2 * k + 2)
         return _allocation(instance, owner, placement)
 
     if T == 2:  # buffer == 1 here: keep both days at arrival
-        pools = [(list(instance.rounds[0]), 1), (list(instance.rounds[1]), 2)]
+        pools = [(instance.rounds[0], 1), (instance.rounds[1], 2)]
     else:  # odd horizon: lone first day, then pairs landing on odd rounds
-        pools = [(list(instance.rounds[0]), 1)]
-        for k in range((T - 1) // 2):
-            pool = list(instance.rounds[2 * k + 1]) + list(instance.rounds[2 * k + 2])
-            pools.append((pool, 2 * k + 3))
+        pools = [(instance.rounds[0], 1)] + [
+            (instance.rounds[t - 2] + instance.rounds[t - 1], t) for t in range(3, T + 1, 2)]
 
-    split = _search_pool_splits(instance, pools)
-    if split is not None:
-        placed = []
-        for (pool, target), mask in zip(pools, split):
-            ordered = sorted(pool, key=good_key)
-            placed.extend(
-                (g, 1 if mask >> idx & 1 else 2, target)
-                for idx, g in enumerate(ordered)
-            )
+    bounds = _placed_bounds(instance)
+    placed = _search_pool_splits(instance, pools, bounds)
+    if placed is not None:
         return _emit(instance, placed, "pool-split", trace)
     message = (
         "no split sequence satisfies the prefix checks; "
@@ -551,7 +533,7 @@ def solve_tefx_identical_days_scheduled_two(instance: TemporalInstance, trace=No
     )
     # beyond two rounds the buffer is at least 2, so single goods can wait
     if T >= 3:
-        placed = _search_window(instance)
+        placed = _search_window(instance, bounds)
         if placed is not None:
             return _emit(instance, placed, "window-split", trace)
         message += ", nor any placement within the buffer"
@@ -574,14 +556,26 @@ def _least(current, value):
     return value if current is None or value < current else current
 
 
-def _two_agent_bounds(pool):
-    """Both agents' totals and two-part maximin shares of a pool of value
-    vectors."""
-    columns = ([v[0] for v in pool], [v[1] for v in pool])
-    return (
-        tuple(sum(c) for c in columns),
-        tuple(_int_share(c, 2, None) for c in columns),
-    )
+def _placed_bounds(instance):
+    """``bounds(t, waiting)``: both agents' totals and two-part maximin
+    shares of the goods placed by round t of a two-agent identical-days
+    instance, memoized.  ``waiting[k]`` counts the arrived copies of the
+    k-th day vector, in sorted order, that are not placed yet."""
+    day = _by_vector(instance, instance.rounds[0])
+    vecs = sorted(day)
+    memo: dict[tuple, tuple] = {}
+
+    def bounds(t, waiting):
+        key = (t, waiting)
+        if key not in memo:
+            placed = [v for v, w in zip(vecs, waiting)
+                      for _ in range(len(day[v]) * t - w)]
+            columns = ([v[0] for v in placed], [v[1] for v in placed])
+            memo[key] = (tuple(map(sum, columns)),
+                         tuple(_int_share(c, 2, None) for c in columns))
+        return memo[key]
+
+    return bounds
 
 
 def _split_ok(totals, shares, a1v1, a1v2, min2_in_a1, min1_in_a2):
@@ -629,26 +623,24 @@ def _first_plan(depth, moves, start):
     return None
 
 
-def _search_pool_splits(instance, pools):
+def _search_pool_splits(instance, pools, bounds):
     """Depth-first split search over pooled rounds for two agents.
 
     State per depth: both agents' values of agent 1's pile plus the
     cheapest good each agent sees in the other's pile (what the
     any-good-removal check depends on).  ``_first_plan`` walks the pools,
     each split mask a move; splits failing envy or share checks at their
-    pool's round are pruned.
+    pool's round are pruned.  Each pool holds whole days and lands on the
+    round of its last day, so ``bounds`` sees nothing waiting there.
+    Returns (good, owner, round) triples, pool by pool in id order, or None.
     """
     v1, v2 = instance.value_table[1], instance.value_table[2]
     ordered_pools = [sorted(pool, key=good_key) for pool, _ in pools]
-
-    bounds = []
-    seen: list[tuple] = []
-    for pool in ordered_pools:
-        seen.extend((v1[g], v2[g]) for g in pool)
-        bounds.append(_two_agent_bounds(seen))
+    idle = (0,) * len(_by_vector(instance, instance.rounds[0]))
 
     def moves(p, state):
         pool = ordered_pools[p]
+        placed = bounds(pools[p][1], idle)
         tried = set()
         for mask in range(1 << len(pool)):
             n1v1, n1v2, nmin2, nmin1 = state
@@ -664,13 +656,18 @@ def _search_pool_splits(instance, pools):
             if key in tried:
                 continue
             tried.add(key)
-            if _split_ok(*bounds[p], *key):
+            if _split_ok(*placed, *key):
                 yield mask, key
 
-    return _first_plan(len(ordered_pools), moves, (0, 0, None, None))
+    plan = _first_plan(len(ordered_pools), moves, (0, 0, None, None))
+    if plan is None:
+        return None
+    return [(g, 1 if mask >> idx & 1 else 2, target)
+            for (_, target), pool, mask in zip(pools, ordered_pools, plan)
+            for idx, g in enumerate(pool)]
 
 
-def _search_window(instance):
+def _search_window(instance, bounds):
     """Exhaustive depth-first search over every placement within the buffer,
     for two agents on identical days.
 
@@ -680,26 +677,15 @@ def _search_window(instance):
     how many of those go to agent 1.  The state after a round is agent 1's
     pile values, the two cheapest-good minima and the waiting counts per
     vector and age; the placed pool, hence both totals and shares, follows
-    from the round and the waiting counts.  ``_first_plan`` walks the
-    rounds.  Returns (good, owner, round) triples or None.
+    from the round and the waiting counts, which ``bounds`` looks up.
+    ``_first_plan`` walks the rounds.  Returns (good, owner, round) triples
+    or None.
     """
     T = instance.horizon
     reach = min(instance.buffer, T) - 1  # the most rounds a good can wait
     day_ids = [_by_vector(instance, round_ids) for round_ids in instance.rounds]
     vecs = sorted(day_ids[0])
     count = [len(day_ids[0][v]) for v in vecs]
-
-    share_memo: dict[tuple, tuple] = {}
-
-    def pool_bounds(t, waiting):
-        """Totals and shares of the pool placed by round t."""
-        key = (t, waiting)
-        if key not in share_memo:
-            share_memo[key] = _two_agent_bounds([
-                v for v, c, w in zip(vecs, count, waiting)
-                for _ in range(c * t - w)
-            ])
-        return share_memo[key]
 
     def vector_moves(t, k, ages):
         """(placed, waiting ages after the round) for one vector.
@@ -742,7 +728,7 @@ def _search_window(instance):
                             grown[key] = picks + ((placed, x),)
             partial = grown
         for (*after, waits), picks in partial.items():
-            totals, shares = pool_bounds(t, tuple(sum(a) for a in waits))
+            totals, shares = bounds(t, tuple(sum(a) for a in waits))
             if _split_ok(totals, shares, *after):
                 yield picks, (waits, tuple(after))
 

@@ -1,6 +1,7 @@
 """CLI: golden outputs, pipeline wiring, exit-code contract."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -157,13 +158,52 @@ def test_check_failing_allocation_exits_one(tmp_path, capsys):
 def test_verify_paper_reports_known_mismatch(tmp_path, capsys):
     code, out = run_to_file(tmp_path, ["verify-paper"])
     err = capsys.readouterr().err
-    data = json.loads(out.read_text())
+    text = out.read_text()
+    data = json.loads(text)
     assert code == 1
     assert data["ok"] is False
     bad = [r["name"] for r in data["fixtures"] if not r["ok"]]
     assert bad == ["tefx-binary-three-agents"]
-    assert "tefx-binary-three-agents" in err
+    assert err == "verification failed: tefx-binary-three-agents\n"
     assert len(data["fixtures"]) == 10
+    # no timings, so the whole document is pinned
+    assert text == (GOLDEN / "verify_paper.json").read_text()
+
+
+def merged_process(argv):
+    """Exit code and stdout plus stderr of one CLI process, with stdout
+    block-buffered as it is on a pipe."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "tempfair.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env,
+    )
+    return proc.returncode, proc.stdout
+
+
+def test_verify_paper_note_follows_the_document(tmp_path):
+    code, out = merged_process(["verify-paper"])
+    assert code == 1
+    document, note = out.rsplit("}\n", 1)
+    assert document + "}\n" == (GOLDEN / "verify_paper.json").read_text()
+    assert note == "verification failed: tefx-binary-three-agents\n"
+    # the note is printed only after a successful write
+    code, out = merged_process(["verify-paper", "-o", str(tmp_path / "no" / "v.json")])
+    assert code == 2
+    assert out.startswith("error: ") and out.count("\n") == 1
+
+
+def test_solver_dead_end_exits_one(tmp_path, capsys):
+    # days {5, 7} over seven rounds at buffer 2: no TEFX and TMMS allocation
+    rounds = [[f"g{2 * t + 1}", f"g{2 * t + 2}"] for t in range(7)]
+    values = {g: ["5", "5"] if int(g[1:]) % 2 else ["7", "7"] for r in rounds for g in r}
+    inst = tmp_path / "odd.json"
+    inst.write_text(json.dumps({"agents": 2, "buffer": 2, "rounds": rounds, "values": values}))
+    assert main(["solve", str(inst), "--alg", "tefx-identical-days-scheduled-two"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("solver failed: no split sequence")
+    assert captured.err.count("\n") == 1
 
 
 def test_usage_and_validation_exit_two(tmp_path, capsys):

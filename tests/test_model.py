@@ -119,6 +119,21 @@ class TestInstanceConstruction:
         with pytest.raises(ValidationError):
             make_instance([[(1,)]], buffer=0)
 
+    def test_rejects_non_fraction_value(self):
+        goods = (Good("a", 1, (1,)),)
+        with pytest.raises(ValidationError, match="good 'a' has non-Fraction value 1"):
+            TemporalInstance(n_agents=1, horizon=1, goods=goods)
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"agents": 0}, "need at least one agent"),
+        ({"rounds": [], "values": {}}, "horizon must be at least 1"),
+        ({"rounds": [[1]]}, "good id 1 is not a string"),
+        ({"rounds": [["g2"]]}, "good 'g2' has no value vector"),
+    ], ids=["no-agents", "no-rounds", "id-not-string", "id-without-vector"])
+    def test_loader_rejects(self, changes, message):
+        with pytest.raises(ValidationError, match=message):
+            instance_from_json(_instance_json(**changes))
+
 
 @pytest.mark.parametrize("build", [
     lambda: make_instance([[(1,)]], buffer=True),
@@ -181,6 +196,18 @@ class TestPrefixAndValidate:
         inst = make_instance([[(1, 1)]])
         alloc = self.make_alloc(inst, {"g1": 5})
         with pytest.raises(ValidationError):
+            validate(inst, alloc)
+
+    def test_validate_rejects_owner_of_unknown_good(self):
+        inst = make_instance([[(1, 1)], [(2, 2)]])
+        alloc = self.make_alloc(inst, {"g1": 1, "g2": 2, "zz": 1})
+        with pytest.raises(ValidationError, match=r"unknown goods in allocation: \['zz'\]"):
+            validate(inst, alloc)
+
+    def test_validate_rejects_unplaced_good(self):
+        inst = make_instance([[(1, 1)], [(2, 2)]])
+        alloc = self.make_alloc(inst, {"g1": 1, "g2": 2}, placement={"g1": 1})
+        with pytest.raises(ValidationError, match="good 'g2' has no placement round"):
             validate(inst, alloc)
 
     def test_validate_rejects_placement_of_unknown_good(self):

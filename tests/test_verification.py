@@ -106,6 +106,6 @@ def test_report_json_shape():
     data = row.to_json()
     assert set(data) == {
         "name", "concept", "scheduled", "expected_exists",
-        "actual_exists", "ok", "nodes_visited", "seconds",
+        "actual_exists", "ok", "nodes_visited",
     }
     assert data["ok"] is True
