@@ -172,7 +172,7 @@ def _envy_violation(worth, alphas=None):
 
 def is_ef1(instance: TemporalInstance, bundles: Bundles) -> bool:
     """Envy-free up to the removal of some one good from the envied bundle."""
-    return _envy_violation(_worth(instance, _per_agent(instance, bundles), max)) is None
+    return prefix_violation(instance, _per_agent(instance, bundles), Concept("tef1")) is None
 
 
 def is_efx(instance: TemporalInstance, bundles: Bundles) -> bool:
@@ -181,7 +181,7 @@ def is_efx(instance: TemporalInstance, bundles: Bundles) -> bool:
     The removal is quantified over every good of the envied bundle, zero
     valued ones included, so only the cheapest removal needs checking.
     """
-    return _envy_violation(_worth(instance, _per_agent(instance, bundles), min)) is None
+    return prefix_violation(instance, _per_agent(instance, bundles), Concept("tefx")) is None
 
 
 def is_alpha_efx(instance: TemporalInstance, bundles: Bundles, alpha) -> bool:
@@ -189,9 +189,8 @@ def is_alpha_efx(instance: TemporalInstance, bundles: Bundles, alpha) -> bool:
 
     ``alpha`` is a Fraction in (0, 1] or a per-agent sequence of them.
     """
-    alphas = concept_alphas(instance, Concept("atefx", alpha))
-    worth = _worth(instance, _per_agent(instance, bundles), min)
-    return _envy_violation(worth, alphas) is None
+    concept = Concept("atefx", alpha)
+    return prefix_violation(instance, _per_agent(instance, bundles), concept) is None
 
 
 def mms_share(values: Sequence[int | Fraction], n_parts: int, cap: int | None = 16) -> Fraction:

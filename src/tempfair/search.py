@@ -18,7 +18,7 @@ from math import prod
 
 from .errors import SearchCapExceeded
 from .fairness import REMOVAL, Concept, concept_alphas, fold, prefix_violation
-from .model import TemporalAllocation, TemporalInstance, good_key
+from .model import TemporalAllocation, TemporalInstance, allocation_to_json, good_key
 
 
 # 3^14 assignments is the reference budget; caps for other agent counts
@@ -57,8 +57,6 @@ class SearchOutcome:
     space_bound: int
 
     def to_json(self) -> dict:
-        from .model import allocation_to_json
-
         return {
             "exists": self.exists,
             "witness": (

@@ -58,70 +58,53 @@ def round_robin(
     return bundles
 
 
-def _envy_edges(values: ValueTable, bundles: dict[int, list[str]], agents: Sequence[int]):
-    """Strict envy digraph as sorted (envious, envied) pairs."""
+def _envy_graph(values: ValueTable, bundles: dict[int, list[str]], agents: Sequence[int]):
+    """Strict envy digraph: each agent's envied agents, ascending."""
     val = {i: _bundle_value(values, i, bundles[i]) for i in agents}
-    edges = []
-    for i in agents:
-        for j in agents:
-            if i != j and val[i] < _bundle_value(values, i, bundles[j]):
-                edges.append((i, j))
-    return edges
+    return {
+        i: sorted(j for j in agents if j != i and val[i] < _bundle_value(values, i, bundles[j]))
+        for i in agents
+    }
 
 
-def _find_cycle(edges, agents):
-    """Lexicographically first envy cycle by DFS from the smallest agent."""
-    adj: dict[int, list[int]] = {i: [] for i in agents}
-    for i, j in edges:
-        adj[i].append(j)
-    for i in agents:
-        adj[i].sort()
-    color: dict[int, int] = {}
-    cycle = None
-
-    def dfs(u, stack):
-        nonlocal cycle
-        color[u] = 1
-        stack.append(u)
-        for v in adj[u]:
-            if cycle is not None:
-                return
-            if color.get(v) == 1:
-                cycle = stack[stack.index(v):]
-                return
-            if v not in color:
-                dfs(v, stack)
-        if cycle is None:
-            color[u] = 2
-            stack.pop()
-
-    for s in agents:
-        if s not in color and cycle is None:
-            dfs(s, [])
-    return cycle
-
-
-def _rotate_cycle(bundles: dict[int, list[str]], cycle: Sequence[int]) -> None:
-    """Each cycle member takes the bundle of the agent they envy."""
-    shifted = [bundles[cycle[(k + 1) % len(cycle)]] for k in range(len(cycle))]
-    for agent, bundle in zip(cycle, shifted):
-        bundles[agent] = bundle
+def _find_cycle(graph: dict[int, list[int]], agents: Sequence[int]):
+    """First envy cycle of a depth-first search from each agent in turn,
+    envied agents in ascending order, or None.  ``path`` maps each agent on
+    the current path, in order, to the suspended iterator over whom they envy.
+    """
+    done: set[int] = set()
+    for start in agents:
+        path = {} if start in done else {start: iter(graph[start])}
+        while path:
+            for v in path[next(reversed(path))]:
+                if v in path:
+                    cycle = list(path)
+                    return cycle[cycle.index(v):]
+                if v not in done:
+                    path[v] = iter(graph[v])
+                    break
+            else:
+                done.add(path.popitem()[0])
+    return None
 
 
 def _decycle(values: ValueTable, bundles: dict[int, list[str]], agents: Sequence[int]):
     """Rotate bundles along envy cycles until the envy graph is acyclic,
-    and return its final edges.
+    and return that graph.
 
-    Each rotation strictly raises the total utility sum, which bounds the
-    loop; the assert guards against a rotation that fails to.
+    Each cycle member takes the bundle of the agent they envy.  Each
+    rotation strictly raises the total utility sum, which bounds the loop;
+    the assert guards against a rotation that fails to.
     """
     while True:
-        edges = _envy_edges(values, bundles, agents)
-        cycle = _find_cycle(edges, agents)
+        graph = _envy_graph(values, bundles, agents)
+        cycle = _find_cycle(graph, agents)
         if cycle is None:
-            return edges
+            return graph
         before = sum(_bundle_value(values, i, bundles[i]) for i in agents)
-        _rotate_cycle(bundles, cycle)
+        taken = [bundles[j] for j in cycle[1:] + cycle[:1]]
+        for i, bundle in zip(cycle, taken):
+            bundles[i] = bundle
         after = sum(_bundle_value(values, i, bundles[i]) for i in agents)
         assert after > before, "envy cycle rotation must increase total utility"
 
@@ -142,7 +125,7 @@ def envy_cycle_elimination(
     bundles: dict[int, list[str]] = {i: [] for i in agents}
     remaining = set(goods)
     while remaining:
-        envied = {j for _, j in _decycle(values, bundles, agents)}
+        envied = {j for targets in _decycle(values, bundles, agents).values() for j in targets}
         receiver = min(i for i in agents if i not in envied)
         g = _best_good(values, receiver, remaining)
         remaining.discard(g)
@@ -153,14 +136,15 @@ def envy_cycle_elimination(
 
 
 def envy_ordered_pick_rounds(
-    goods: Iterable[str],
-    copy_class: Mapping[str, object],
+    classes: Iterable[Iterable[str]],
     values: ValueTable,
     agents: Sequence[int],
     trace: list | None = None,
 ) -> dict[int, list[str]]:
     """Allocate identical copies class by class in envy order.
 
+    ``classes`` lists each copy class as its good ids; classes are dealt
+    in order of their smallest id, and each class's copies in id order.
     One class at a time: rotate envy cycles away, then let agents pick in a
     topological order of the envy graph (envious agents first).  The first
     ``copies`` agents in that order who value the class positively each take
@@ -171,48 +155,31 @@ def envy_ordered_pick_rounds(
     Copies of one class must carry identical value vectors; each agent ends
     with at most one copy of any class.
     """
-    goods = sorted(goods, key=good_key)
-    by_class: dict[object, list[str]] = {}
-    for g in goods:
-        by_class.setdefault(copy_class[g], []).append(g)
-    for cls, members in by_class.items():
-        vecs = {tuple(values[i][g] for i in agents) for g in members}
-        if len(vecs) > 1:
-            raise ValidationError(f"copy class {cls!r} mixes value vectors")
+    classes = sorted((sorted(c, key=good_key) for c in classes), key=lambda c: good_key(c[0]))
+    for members in classes:
+        if len({tuple(values[i][g] for i in agents) for g in members}) > 1:
+            raise ValidationError(f"copy class {members[0]!r} mixes value vectors")
         if len(members) > len(agents):
             raise ValidationError(
-                f"copy class {cls!r} has {len(members)} copies for "
+                f"copy class {members[0]!r} has {len(members)} copies for "
                 f"{len(agents)} agents"
             )
-    class_order = sorted(by_class, key=lambda cls: good_key(by_class[cls][0]))
 
     bundles: dict[int, list[str]] = {i: [] for i in agents}
-    for cls in class_order:
-        members = by_class[cls]
+    for members in classes:
         rep = members[0]
-        edges = set(_decycle(values, bundles, agents))
+        graph = _decycle(values, bundles, agents)
         # least topological order: the smallest agent nobody left envies
         sigma = []
         left = sorted(agents)
         while left:
-            free = [j for j in left if not any((i, j) in edges for i in left)]
+            free = [j for j in left if not any(j in graph[i] for i in left)]
             assert free, "envy graph still cyclic after decycle"
             sigma.append(free[0])
             left.remove(free[0])
-
-        takers = []
-        for i in sigma:
-            if len(takers) == len(members):
-                break
-            if values[i][rep] > 0:
-                takers.append(i)
-        if len(takers) < len(members):
-            # copies nobody values: park them with agents that skip envy math
-            for i in agents:
-                if len(takers) == len(members):
-                    break
-                if values[i][rep] == 0 and i not in takers:
-                    takers.append(i)
+        # copies nobody values are parked with agents that skip envy math
+        takers = ([i for i in sigma if values[i][rep] > 0]
+                  + [i for i in agents if values[i][rep] == 0])[:len(members)]
         assert len(takers) == len(members), "more copies than agents"
         for g, i in zip(members, takers):
             bundles[i].append(g)

@@ -70,13 +70,15 @@ def _by_vector(instance, day_ids: Sequence[str]) -> dict[tuple, list[str]]:
 
 
 def _slot_copies(instance, days: Sequence[Sequence[str]]) -> dict[tuple, list[str]]:
-    """The goods of each copy slot of the given days, in id order, slots in
-    order of first good.
+    """The goods of each copy slot of the given days, in id order.
 
     Goods of a day that share a value vector are interchangeable copies;
     when a vector repeats within the day, its occurrences are numbered so
     that each slot (vector, occurrence) holds one good per day.  Slots are
-    therefore comparable across days of an identical-days instance.
+    therefore comparable across days of an identical-days instance.  They
+    come in the order the first day holding them lists them: grouped by
+    vector, vectors in order of their smallest id, so day g1 (1,2),
+    g2 (3,4), g3 (1,2) gives slots g1, g3, g2.
     """
     copies: dict[tuple, list[str]] = {}
     for day in days:
@@ -311,7 +313,7 @@ def alpha_positive_bounds(instance: TemporalInstance) -> tuple[Fraction, ...]:
     """
     bounds = []
     for row in instance.value_table.values():
-        lo, hi = min(row.values()), max(row.values())
+        lo, hi = min(row.values(), default=0), max(row.values(), default=0)
         if lo <= 0:
             raise PreconditionError("needs strictly positive values")
         bounds.append(Fraction(lo, 2 * lo + hi))
@@ -446,12 +448,8 @@ def solve_tef1_identical_days_scheduled(instance: TemporalInstance, trace=None) 
         base = k * n
         mid_round = base + half_up
         phase1_days = [instance.rounds[base + d] for d in range(half_up)]
-        phase1_pool = [g for day in phase1_days for g in day]
         held = _slot_copies(instance, phase1_days)
-        slots = {g: slot for slot, copies in held.items() for g in copies}
-        picked = envy_ordered_pick_rounds(
-            phase1_pool, slots, values, agents, trace=trace
-        )
+        picked = envy_ordered_pick_rounds(held.values(), values, agents, trace=trace)
         _hand_out(picked, owner, placement, mid_round)
 
         phase2_days = [instance.rounds[base + d] for d in range(half_up, n)]

@@ -95,16 +95,12 @@ class TestEnvyOrderedPickRounds:
     def test_rejects_more_copies_than_agents(self):
         values = table({1: {"a": 1, "b": 1}})
         with pytest.raises(ValidationError):
-            envy_ordered_pick_rounds(
-                ["a", "b"], {"a": "A", "b": "A"}, values, [1]
-            )
+            envy_ordered_pick_rounds([["a", "b"]], values, [1])
 
     def test_rejects_unequal_vectors_within_class(self):
         values = table({1: {"a": 1, "b": 2}, 2: {"a": 1, "b": 2}})
         with pytest.raises(ValidationError):
-            envy_ordered_pick_rounds(
-                ["a", "b"], {"a": "A", "b": "A"}, values, [1, 2]
-            )
+            envy_ordered_pick_rounds([["a", "b"]], values, [1, 2])
 
     def test_positive_valuers_first_zeros_parked(self):
         # class A valued by agents 1 and 2 only, one copy spare
@@ -113,10 +109,7 @@ class TestEnvyOrderedPickRounds:
             2: {"a1": 3, "a2": 3, "a3": 3},
             3: {"a1": 0, "a2": 0, "a3": 0},
         })
-        copy_class = {"a1": "A", "a2": "A", "a3": "A"}
-        got = envy_ordered_pick_rounds(
-            ["a1", "a2", "a3"], copy_class, values, [1, 2, 3]
-        )
+        got = envy_ordered_pick_rounds([["a1", "a2", "a3"]], values, [1, 2, 3])
         assert sorted(len(b) for b in got.values()) == [1, 1, 1]
         # the zero-value agent took the spare copy
         assert len(got[3]) == 1
@@ -140,7 +133,8 @@ class TestEnvyOrderedPickRounds:
                     for i in agents:
                         values[i][gid] = vec[i - 1]
             got = envy_ordered_pick_rounds(
-                goods, copy_class, values, agents
+                [[g for g in goods if copy_class[g] == c] for c in range(n_classes)],
+                values, agents,
             )
             handed = sorted(g for b in got.values() for g in b)
             assert handed == sorted(goods)
@@ -152,5 +146,5 @@ class TestEnvyOrderedPickRounds:
     def test_trace_rule_tag(self):
         values = table({1: {"a": 2}, 2: {"a": 2}})
         trace = []
-        envy_ordered_pick_rounds(["a"], {"a": "A"}, values, [1, 2], trace=trace)
+        envy_ordered_pick_rounds([["a"]], values, [1, 2], trace=trace)
         assert trace and all(r["rule"] == "envy-order" for r in trace)

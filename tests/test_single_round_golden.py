@@ -17,7 +17,6 @@ import random
 from pathlib import Path
 
 from tempfair.errors import ValidationError
-from tempfair.model import good_key
 from tempfair.single_round import envy_cycle_elimination, envy_ordered_pick_rounds
 
 GOLDEN = Path(__file__).parent / "golden" / "single_round.json"
@@ -112,11 +111,8 @@ def regenerate():
         )
     for seed in PICK_SEEDS:
         classes, values, agents = pick_case(seed)
-        goods = [g for members in classes for g in members]
-        # each class named by its smallest good
-        label = {g: min(members, key=good_key) for members in classes for g in members}
         out[f"picks-{seed}"] = outcome(
-            lambda trace: envy_ordered_pick_rounds(goods, label, values, agents, trace=trace)
+            lambda trace: envy_ordered_pick_rounds(classes, values, agents, trace=trace)
         )
     return out
 

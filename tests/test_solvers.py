@@ -159,6 +159,15 @@ class TestPreconditions:
         with pytest.raises(PreconditionError, match="two positive value levels"):
             SOLVERS["rr-bivalued"].concepts(make_instance([[(0, 1)]]))
 
+    def test_positive_bound_gates(self):
+        # the ratio bound reads each agent's extreme values, so a zero value
+        # and an instance with no goods at all are refused alike
+        concepts = SOLVERS["alpha-tefx-positive"].concepts
+        for instance in (make_instance([[(0, 2), (1, 1)]]),
+                         TemporalInstance(n_agents=2, horizon=1, goods=())):
+            with pytest.raises(PreconditionError, match=r"^needs strictly positive values$"):
+                concepts(instance)
+
     def test_scheduled_identical_days_gates(self):
         day = [(1, 2, 3)]
         with pytest.raises(PreconditionError):
