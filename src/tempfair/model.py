@@ -435,7 +435,7 @@ def _read_json(path):
     with open(path) as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (RecursionError, ValueError) as exc:  # JSONDecodeError, bad bytes, huge ints
             raise ValidationError(f"bad JSON in {path}: {exc}") from exc
 
 

@@ -5,6 +5,11 @@ value table ``values[agent][good_id]`` with 1-based agent keys.  Bundles
 come back as ``dict[int, list[str]]`` in pick order.  Ties always break
 toward the smallest good id (length-then-lexicographic) and the smallest
 agent index, so every routine is deterministic.
+
+Picks walk one preference order per agent (the pool by value, highest
+first, smallest id on ties) past the goods already taken.  Envy is read
+from a running worth matrix, ``worth[i][j]`` = agent i's value of j's
+bundle, grown by each hand-out and permuted by each cycle rotation.
 """
 
 from __future__ import annotations
@@ -17,21 +22,23 @@ from .model import good_key
 ValueTable = Mapping[int, Mapping[str, int]]
 
 
-def _bundle_value(values: ValueTable, agent: int, bundle: Iterable[str]) -> int:
-    return sum(values[agent][g] for g in bundle)
-
-
 def _record(trace: list | None, agent: int, good: str, rule: str) -> None:
     """Append one hand-out to the trace, when one is kept."""
     if trace is not None:
         trace.append({"step": len(trace) + 1, "agent": agent, "good": good, "rule": rule})
 
 
-def _best_good(values: ValueTable, agent: int, pool: Iterable[str]) -> str:
-    """Max-valued good for an agent, smallest id on ties."""
-    pool = list(pool)
-    top = max(values[agent][g] for g in pool)
-    return min((g for g in pool if values[agent][g] == top), key=good_key)
+def _preferences(goods: Iterable[str], values: ValueTable, agents: Sequence[int]):
+    """The pool without repeats, and each agent's pick order over it."""
+    pool = sorted(set(goods), key=good_key)
+    return pool, {i: iter(sorted(pool, key=lambda g, row=values[i]: -row[g])) for i in agents}
+
+
+def _give(values: ValueTable, worth, bundles, agent: int, good: str) -> None:
+    """Add a good to an agent's bundle and to every agent's worth of it."""
+    bundles[agent].append(good)
+    for i, row in worth.items():
+        row[agent] += values[i][good]
 
 
 def round_robin(
@@ -39,32 +46,24 @@ def round_robin(
     values: ValueTable,
     order: Sequence[int],
     trace: list | None = None,
+    rule: str = "rr",
 ) -> dict[int, list[str]]:
     """Agents pick in cyclic order; each takes their best remaining good.
 
     ``order`` fixes the cycle (it need not be sorted; reversing it gives the
-    mirrored pass used by the two-pool schedulers).
+    mirrored pass used by the two-pool schedulers).  ``rule`` labels the
+    trace rows.
     """
+    pool, prefs = _preferences(goods, values, order)
     bundles: dict[int, list[str]] = {i: [] for i in order}
-    remaining = set(goods)
-    step = 0
-    while remaining:
+    taken: set[str] = set()
+    for step in range(len(pool)):
         agent = order[step % len(order)]
-        g = _best_good(values, agent, remaining)
+        g = next(g for g in prefs[agent] if g not in taken)
+        taken.add(g)
         bundles[agent].append(g)
-        remaining.discard(g)
-        _record(trace, agent, g, "rr")
-        step += 1
+        _record(trace, agent, g, rule)
     return bundles
-
-
-def _envy_graph(values: ValueTable, bundles: dict[int, list[str]], agents: Sequence[int]):
-    """Strict envy digraph: each agent's envied agents, ascending."""
-    val = {i: _bundle_value(values, i, bundles[i]) for i in agents}
-    return {
-        i: sorted(j for j in agents if j != i and val[i] < _bundle_value(values, i, bundles[j]))
-        for i in agents
-    }
 
 
 def _find_cycle(graph: dict[int, list[int]], agents: Sequence[int]):
@@ -88,25 +87,29 @@ def _find_cycle(graph: dict[int, list[int]], agents: Sequence[int]):
     return None
 
 
-def _decycle(values: ValueTable, bundles: dict[int, list[str]], agents: Sequence[int]):
+def _decycle(worth, bundles: dict[int, list[str]], agents: Sequence[int]):
     """Rotate bundles along envy cycles until the envy graph is acyclic,
-    and return that graph.
+    and return that graph: each agent's envied agents, ascending.
 
     Each cycle member takes the bundle of the agent they envy.  Each
     rotation strictly raises the total utility sum, which bounds the loop;
     the assert guards against a rotation that fails to.
     """
+    ranked = sorted(agents)
     while True:
-        graph = _envy_graph(values, bundles, agents)
+        graph = {i: [j for j in ranked if worth[i][i] < worth[i][j]] for i in agents}
         cycle = _find_cycle(graph, agents)
         if cycle is None:
             return graph
-        before = sum(_bundle_value(values, i, bundles[i]) for i in agents)
-        taken = [bundles[j] for j in cycle[1:] + cycle[:1]]
-        for i, bundle in zip(cycle, taken):
+        before = sum(worth[i][i] for i in agents)
+        envied = cycle[1:] + cycle[:1]
+        for i, bundle in zip(cycle, [bundles[j] for j in envied]):
             bundles[i] = bundle
-        after = sum(_bundle_value(values, i, bundles[i]) for i in agents)
-        assert after > before, "envy cycle rotation must increase total utility"
+        for row in worth.values():
+            for i, w in zip(cycle, [row[j] for j in envied]):
+                row[i] = w
+        assert sum(worth[i][i] for i in agents) > before, \
+            "envy cycle rotation must increase total utility"
 
 
 def envy_cycle_elimination(
@@ -119,19 +122,21 @@ def envy_cycle_elimination(
 
     The receiver is the smallest unenvied agent index and takes their own
     best remaining good (the variant that makes the two-identical-agents
-    case envy-free up to any good).  The envy graph is rebuilt after every
-    change.
+    case envy-free up to any good).  The envy graph is read again after
+    every change.
     """
+    pool, prefs = _preferences(goods, values, agents)
     bundles: dict[int, list[str]] = {i: [] for i in agents}
-    remaining = set(goods)
-    while remaining:
-        envied = {j for targets in _decycle(values, bundles, agents).values() for j in targets}
+    worth = {i: dict.fromkeys(agents, 0) for i in agents}
+    taken: set[str] = set()
+    for _ in pool:
+        envied = {j for targets in _decycle(worth, bundles, agents).values() for j in targets}
         receiver = min(i for i in agents if i not in envied)
-        g = _best_good(values, receiver, remaining)
-        remaining.discard(g)
-        bundles[receiver].append(g)
+        g = next(g for g in prefs[receiver] if g not in taken)
+        taken.add(g)
+        _give(values, worth, bundles, receiver, g)
         _record(trace, receiver, g, "ece-max")
-    _decycle(values, bundles, agents)
+    _decycle(worth, bundles, agents)
     return bundles
 
 
@@ -166,9 +171,10 @@ def envy_ordered_pick_rounds(
             )
 
     bundles: dict[int, list[str]] = {i: [] for i in agents}
+    worth = {i: dict.fromkeys(agents, 0) for i in agents}
     for members in classes:
         rep = members[0]
-        graph = _decycle(values, bundles, agents)
+        graph = _decycle(worth, bundles, agents)
         # least topological order: the smallest agent nobody left envies
         sigma = []
         left = sorted(agents)
@@ -182,6 +188,6 @@ def envy_ordered_pick_rounds(
                   + [i for i in agents if values[i][rep] == 0])[:len(members)]
         assert len(takers) == len(members), "more copies than agents"
         for g, i in zip(members, takers):
-            bundles[i].append(g)
+            _give(values, worth, bundles, i, g)
             _record(trace, i, g, "envy-order")
     return bundles

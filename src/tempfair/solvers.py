@@ -27,8 +27,6 @@ from .model import (
     validate,
 )
 from .single_round import (
-    _best_good,
-    _bundle_value,
     _record,
     envy_cycle_elimination,
     envy_ordered_pick_rounds,
@@ -341,7 +339,7 @@ def solve_half_tefx_identical_days_two(instance: TemporalInstance, trace=None) -
         mirrored = {1: values[cutter], 2: values[cutter]}
         halves = envy_cycle_elimination(round_ids, mirrored, [1, 2])
         first, second = halves[1], halves[2]
-        if _bundle_value(values, chooser, first) >= _bundle_value(values, chooser, second):
+        if sum(values[chooser][g] for g in first) >= sum(values[chooser][g] for g in second):
             taken, left = first, second
         else:
             taken, left = second, first
@@ -393,19 +391,13 @@ def solve_rr_bivalued(instance: TemporalInstance, trace=None) -> TemporalAllocat
     still available in the current round."""
     setting = classify(instance)
     _require(setting.bi_valued, "needs exactly two positive value levels")
-    values = instance.value_table
-    n = instance.n_agents
+    agents = list(instance.agents)
     owner = {}
-    pointer = 0
+    start = 0  # the pointer: index of the first picker of the round
     for round_ids in instance.rounds:
-        pool = set(round_ids)
-        while pool:
-            agent = pointer % n + 1
-            g = _best_good(values, agent, pool)
-            owner[g] = agent
-            pool.discard(g)
-            pointer += 1
-            _record(trace, agent, g, "rr-global")
+        order = agents[start:] + agents[:start]
+        _hand_out(round_robin(round_ids, instance.value_table, order, trace, "rr-global"), owner)
+        start = (start + len(round_ids)) % len(agents)
     return _allocation(instance, owner)
 
 
@@ -755,8 +747,8 @@ class SolverEntry:
     name: str
     run: Callable
     summary: str
-    uses_scheduling: bool
     concepts: Callable  # instance -> list[Concept]
+    uses_scheduling: bool = False  # moves goods past their arrival round
 
 
 def _fixed(*concepts):
@@ -770,56 +762,48 @@ SOLVERS: dict[str, SolverEntry] = {
             name="tef1-house-t3",
             run=solve_tef1_house_t3,
             summary="identical days, n goods per round, T=3; envy-free up to one good",
-            uses_scheduling=False,
             concepts=_fixed(Concept("tef1")),
         ),
         SolverEntry(
             name="tefx-genbinary-two",
             run=solve_tefx_genbinary_two,
             summary="2 agents, values in {0,b}; envy-free up to any good and maximin-share fair",
-            uses_scheduling=False,
             concepts=_fixed(Concept("tefx"), Concept("tmms")),
         ),
         SolverEntry(
             name="tefx-genbinary-identical",
             run=solve_tefx_genbinary_identical,
             summary="identical {0,b} valuations; envy-free up to any good",
-            uses_scheduling=False,
             concepts=_fixed(Concept("tefx")),
         ),
         SolverEntry(
             name="half-tefx-genbinary",
             run=solve_half_tefx_genbinary,
             summary="values in {0,b}, any n; 1/2-scaled envy-free up to any good",
-            uses_scheduling=False,
             concepts=_fixed(Concept("atefx", Fraction(1, 2))),
         ),
         SolverEntry(
             name="alpha-tefx-positive",
             run=solve_alpha_tefx_positive,
             summary="strictly positive values, rounds of n+ goods; per-agent scaled envy bound",
-            uses_scheduling=False,
             concepts=lambda inst: [Concept("atefx", alpha_positive_bounds(inst))],
         ),
         SolverEntry(
             name="half-tefx-identical-days-two",
             run=solve_half_tefx_identical_days_two,
             summary="2 agents, identical days; 1/2-scaled envy-free up to any good",
-            uses_scheduling=False,
             concepts=_fixed(Concept("atefx", Fraction(1, 2))),
         ),
         SolverEntry(
             name="alpha-tefx-identical-valuation",
             run=solve_alpha_tefx_identical_valuation,
             summary="one shared valuation; scaled envy bound from the value spread",
-            uses_scheduling=False,
             concepts=lambda inst: [Concept("atefx", alpha_identical_bound(inst))],
         ),
         SolverEntry(
             name="rr-bivalued",
             run=solve_rr_bivalued,
             summary="two positive value levels a<=b; a/b-scaled envy bound via round robin",
-            uses_scheduling=False,
             concepts=lambda inst: [Concept("atefx", bivalued_bound(inst))],
         ),
         SolverEntry(

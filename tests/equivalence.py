@@ -1,0 +1,179 @@
+"""Digest what the single-round routines and the solvers output, one line
+per case, to show that two source trees behave the same.
+
+    PYTHONPATH=src python tests/equivalence.py > digests.txt
+    python tests/equivalence.py --compare OLD/src NEW/src
+
+Each line is a stable case id and the SHA-256 of the case's output:
+bundles (in the routine's agent order) and trace for ``round_robin``,
+``envy_cycle_elimination`` and ``envy_ordered_pick_rounds``; allocation
+JSON and trace for every registered solver on seeded ``generate`` draws;
+or, when the call raises, the exception's type and text.  Each family's
+case count and the SHA-256 of its lines go to stderr.  ``--compare`` runs
+every case on both trees and prints the first case whose digests differ,
+with both outputs.  Seeds come from ``zlib.crc32`` of the case id, so the
+cases are the same on every run and Python version.  Pytest does not
+collect this file.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import random
+import subprocess
+import sys
+import zlib
+from functools import lru_cache
+
+ROUTINES = ("round_robin", "envy_cycle_elimination", "envy_ordered_pick_rounds")
+
+
+def _rng(case: str) -> random.Random:
+    return random.Random(zlib.crc32(case.encode()))
+
+
+def _vector(rng, agents, cap):
+    return {i: rng.randint(0, cap) for i in agents}
+
+
+def _single_round(routine: str, case: str):
+    """1-6 agents, 0-40 goods with ids of mixed length, values capped at 1,
+    2, 5 or 20; round robin in forward or reversed order, the other two
+    with a shuffled agent list 30 % of the time."""
+    from tempfair import single_round
+
+    rng = _rng(case)
+    agents = list(range(1, rng.randint(1, 6) + 1))
+    cap = rng.choice([1, 2, 5, 20])
+    ids = [f"g{x}" for x in rng.sample(range(1, 100), rng.randint(0, 40))]
+    if routine == "round_robin" and rng.random() < 0.5:
+        agents.reverse()
+    elif routine != "round_robin" and rng.random() < 0.3:
+        rng.shuffle(agents)
+    if routine == "envy_ordered_pick_rounds":
+        # copy classes of 1..n goods sharing one value vector; a few hold
+        # one copy too many or a copy with its own vector
+        pool, values, ids = [], {i: {} for i in agents}, iter(ids)
+        for _ in range(rng.randint(0, 8)):
+            members = [next(ids, None) for _ in range(rng.randint(1, len(agents) + (rng.random() < 0.05)))]
+            members = [g for g in members if g is not None]
+            vector = _vector(rng, agents, cap)
+            for g in members:
+                row = _vector(rng, agents, cap) if rng.random() < 0.02 else vector
+                for i in agents:
+                    values[i][g] = row[i]
+            if members:
+                pool.append(members)
+    else:
+        pool = ids
+        values = {i: {g: rng.randint(0, cap) for g in ids} for i in agents}
+    trace: list = []
+    bundles = getattr(single_round, routine)(pool, values, agents, trace=trace)
+    return {"bundles": list(bundles.items()), "trace": trace}
+
+
+@lru_cache(maxsize=1)
+def _instance(k: int):
+    """One seeded ``generate`` draw: 1-4 agents, 1-5 rounds of 1-5 goods,
+    one structural flag or none, identical days or positive values on top
+    about a third of the time each, buffer 1-3."""
+    from tempfair.generators import generate
+
+    rng = _rng(f"solvers/{k}")
+    flag = rng.choice([None, "identical_days", "generalized_binary", "bi_valued",
+                       "identical_valuation", "house_allocation"])
+    flags = {flag: True} if flag else {}
+    if rng.random() < 0.3:
+        flags["identical_days"] = True
+    if rng.random() < 0.3 and flag != "generalized_binary":
+        flags["min_value"] = 1
+    return generate(rng.randint(1, 4), rng.randint(1, 5), rng.randint(1, 5),
+                    rng.choice([1, 2, 5, 9]), rng.randrange(10**6),
+                    buffer=rng.randint(1, 3), **flags)
+
+
+def _solve(name: str, k: int):
+    from tempfair.model import allocation_to_json
+    from tempfair.solvers import SOLVERS
+
+    trace: list = []
+    alloc = SOLVERS[name].run(_instance(k), trace=trace)
+    return {"allocation": allocation_to_json(alloc), "trace": trace}
+
+
+def cases(draws: int, solver_draws: int):
+    """Every (family, case id, thunk) in a fixed order."""
+    from tempfair.solvers import SOLVERS
+
+    for routine in ROUTINES:
+        for k in range(draws):
+            case = f"{routine}/{k}"
+            yield routine, case, lambda r=routine, c=case: _single_round(r, c)
+    for k in range(solver_draws):
+        for name in sorted(SOLVERS):
+            yield "solvers", f"solvers/{name}/{k}", lambda n=name, k=k: _solve(n, k)
+
+
+def output(thunk) -> str:
+    try:
+        return json.dumps(thunk(), separators=(",", ":"))
+    except Exception as exc:  # the error text is the output
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _run(src: str, argv: list[str]) -> str:
+    env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+    return subprocess.run([sys.executable, os.path.abspath(__file__), *argv], env=env,
+                          stdout=subprocess.PIPE, text=True, check=True).stdout
+
+
+def compare(old: str, new: str, counts: list[str]) -> int:
+    digests = [_run(src, counts).splitlines() for src in (old, new)]
+    for a, b in zip(*digests):
+        if a != b:
+            case = a.split()[0]
+            print(f"first difference: {case}")
+            for src in (old, new):
+                print(f"{src}:\n{_run(src, [*counts, '--show', case])}")
+            return 1
+    if len(digests[0]) != len(digests[1]):
+        print(f"case counts differ: {len(digests[0])} and {len(digests[1])}")
+        return 1
+    print(f"{len(digests[0])} cases, every digest equal")
+    return 0
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--draws", type=int, default=20000, help="draws per single-round routine")
+    p.add_argument("--solver-draws", type=int, default=3000, help="generate draws for the solvers")
+    p.add_argument("--show", metavar="CASE", help="print one case's output instead")
+    p.add_argument("--compare", nargs=2, metavar=("OLD_SRC", "NEW_SRC"))
+    args = p.parse_args(argv)
+    counts = ["--draws", str(args.draws), "--solver-draws", str(args.solver_draws)]
+    if args.compare:
+        return compare(*args.compare, counts)
+    families = {}
+    for family, case, thunk in cases(args.draws, args.solver_draws):
+        if args.show is None:
+            line = f"{case} {hashlib.sha256(output(thunk).encode()).hexdigest()}\n"
+            sys.stdout.write(line)
+            n, h = families.setdefault(family, (0, hashlib.sha256()))
+            h.update(line.encode())
+            families[family] = (n + 1, h)
+        elif case == args.show:
+            print(output(thunk))
+            return 0
+    if args.show is not None:
+        print(f"no case {args.show}", file=sys.stderr)
+        return 2
+    for family, (n, h) in families.items():
+        print(f"{family} {n} {h.hexdigest()}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -130,3 +130,110 @@ def naive_classify(instance):
         "identical_valuation": all(len(set(g.values)) == 1 for g in instance.goods),
         "house_allocation": all(len(ids) == instance.n_agents for ids in instance.rounds),
     }
+
+
+def _naive_best(values, agent, pool):
+    """The agent's highest-valued good in the pool, shortest then
+    alphabetically first id on ties, by a scan of the whole pool."""
+    top = max(values[agent][g] for g in pool)
+    return min((g for g in pool if values[agent][g] == top), key=lambda g: (len(g), g))
+
+
+def _naive_step(trace, agent, good, rule):
+    trace.append({"step": len(trace) + 1, "agent": agent, "good": good, "rule": rule})
+
+
+def naive_round_robin(goods, values, order):
+    """Round robin in ``order``, each agent scanning the pool for their best
+    good; returns (bundles, trace)."""
+    bundles = {i: [] for i in order}
+    trace = []
+    remaining = set(goods)
+    step = 0
+    while remaining:
+        agent = order[step % len(order)]
+        g = _naive_best(values, agent, remaining)
+        bundles[agent].append(g)
+        remaining.discard(g)
+        _naive_step(trace, agent, g, "rr")
+        step += 1
+    return bundles, trace
+
+
+def naive_global_round_robin(rounds, values, n_agents):
+    """One round robin over agents 1..n whose turn carries from round to
+    round, each picker taking their best good of the current round;
+    returns (owner, trace)."""
+    owner = {}
+    trace = []
+    pointer = 0
+    for round_ids in rounds:
+        pool = set(round_ids)
+        while pool:
+            agent = pointer % n_agents + 1
+            g = _naive_best(values, agent, pool)
+            owner[g] = agent
+            pool.discard(g)
+            pointer += 1
+            _naive_step(trace, agent, g, "rr-global")
+    return owner, trace
+
+
+def _naive_first_cycle(graph, agents):
+    """First cycle met by a depth-first search from each agent in turn,
+    following out-edges in the listed order, or None."""
+    done = set()
+
+    def visit(path):
+        for v in graph[path[-1]]:
+            if v in path:
+                return path[path.index(v):]
+            if v not in done:
+                found = visit(path + [v])
+                if found:
+                    return found
+        done.add(path[-1])
+        return None
+
+    for start in agents:
+        if start not in done:
+            found = visit([start])
+            if found:
+                return found
+    return None
+
+
+def naive_envy_cycle_elimination(goods, values, agents):
+    """Envy-cycle elimination with every bundle re-summed for each envy
+    graph: rotate cycles away, then the smallest unenvied agent takes their
+    best remaining good; returns (bundles, trace, number of rotations)."""
+    bundles = {i: [] for i in agents}
+    trace = []
+    rotations = 0
+
+    def worth(i, j):
+        return sum(values[i][g] for g in bundles[j])
+
+    def decycle():
+        nonlocal rotations
+        while True:
+            graph = {i: sorted(j for j in agents if j != i and worth(i, i) < worth(i, j))
+                     for i in agents}
+            cycle = _naive_first_cycle(graph, agents)
+            if cycle is None:
+                return graph
+            taken = [bundles[j] for j in cycle[1:] + cycle[:1]]
+            for i, bundle in zip(cycle, taken):
+                bundles[i] = bundle
+            rotations += 1
+
+    remaining = set(goods)
+    while remaining:
+        envied = {j for targets in decycle().values() for j in targets}
+        receiver = min(i for i in agents if i not in envied)
+        g = _naive_best(values, receiver, remaining)
+        remaining.discard(g)
+        bundles[receiver].append(g)
+        _naive_step(trace, receiver, g, "ece-max")
+    decycle()
+    return bundles, trace, rotations

@@ -297,3 +297,20 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["setting"]["identical_days"] is True
+
+
+@pytest.mark.parametrize("content", [
+    pytest.param(b'{"agents": 2, "rounds": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+                 id="nested-100000-deep"),
+    pytest.param(b'{"agents": 2, "rounds": [["g1"]], "values": {"g1": [' + b"7" * 5000 + b", 1]}}",
+                 id="integer-of-5000-digits"),
+    pytest.param(b'{"agents": 2, "rounds": [["g\xff"]], "values": {"g\xff": [1, 1]}}',
+                 id="byte-0xff"),
+])
+def test_adversarial_json_exits_two(tmp_path, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    code, out = merged_process(["classify", str(path)])
+    assert code == 2
+    assert out.startswith("error: bad JSON in ") and out.count("\n") == 1
+    assert "Traceback" not in out
