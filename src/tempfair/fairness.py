@@ -6,8 +6,8 @@ witness's shortfall turns back into a Fraction, divided by ``scale``.  The
 temporal variants demand the property at every prefix: the bundles of
 goods handed out in rounds 1..t, for each t up to the horizon.  Each
 prefix is the one before plus the goods placed at t, so the checker grows
-its bundles in place, and for the envy notions a worth matrix (see
-``fold``); ties between equal removals are broken once, at the witness.
+its bundles in place, and for the envy notions a flat worth state (see
+``_worth``); ties between equal removals are broken once, at the witness.
 
 Three envy notions on bundles, each with the removal quantified over the
 envied bundle:
@@ -126,24 +126,36 @@ class Verdict:
 REMOVAL = {"tef1": max, "tefx": min, "atefx": min}
 
 
-def fold(worth, j, g, tables, pick):
-    """Fold good g into bundle j + 1 of a worth matrix, for every agent:
-    ``worth[i - 1][j]`` is agent i's ``(total, binding removal)`` of that
-    bundle, the removal None while it is empty, and ``tables[i - 1][g]``
-    is agent i's value of g."""
-    for row, values in zip(worth, tables):
-        value = values[g]
-        total, removal = row[j]
-        row[j] = (total + value, value if removal is None else pick(removal, value))
+def fold(total, removal, j, column, pick):
+    """Fold a good into bundle j + 1 of a worth state, in place: one column
+    update, ``column[i]`` being agent i + 1's value of the good."""
+    n, e = len(column), j
+    if pick is max:
+        for value in column:
+            total[e] += value
+            if value > removal[e]:
+                removal[e] = value
+            e += n
+    else:
+        for value in column:
+            total[e] += value
+            if value < removal[e]:
+                removal[e] = value
+            e += n
 
 
 def _worth(instance, bundles, pick):
-    """The worth matrix of fixed bundles, each bundle read once."""
-    worth = [[(0, None)] * instance.n_agents for _ in instance.agents]
+    """The worth state of fixed bundles, each read once: lists ``total`` and
+    ``removal`` of n * n ints, entry i * n + j for agent i + 1's view of
+    bundle j + 1.  An empty bundle's removal, a sentinel the first fold
+    replaces (0 under max, the top value under min), keeps total - removal <= 0."""
+    n, tables = instance.n_agents, instance.value_table.values()
+    top = 0 if pick is max else max((v for row in tables for v in row.values()), default=0)
+    total, removal = [0] * (n * n), [top] * (n * n)
     for j, bundle in enumerate(bundles):
         for g in bundle:
-            fold(worth, j, g, instance.value_table.values(), pick)
-    return worth
+            fold(total, removal, j, [row[g] for row in tables], pick)
+    return total, removal
 
 
 def _per_agent(instance, bundles):
@@ -154,19 +166,26 @@ def _per_agent(instance, bundles):
     return bundles
 
 
-def _envy_violation(worth, alphas=None):
-    """First (envious, envied, gap, den) in index order, or None: with
-    alpha = num/den (1 without ``alphas``), agent i envies bundle j past its
-    binding removal when ``gap = num * (total - removal) - den * own > 0``.
-    """
-    for i, row in enumerate(worth, 1):
-        num, den = alphas[i - 1].as_integer_ratio() if alphas else (1, 1)
-        own = row[i - 1][0]
-        for j, (total, removal) in enumerate(row, 1):
-            if removal is not None and j != i:
-                gap = num * (total - removal) - den * own
-                if gap > 0:
-                    return (i, j, gap, den)
+def envy_pairs(n, concept: Concept):
+    """What an envy check under ``concept`` walks, (i, j) in index order,
+    i != j: the worth entries of agent i's view of bundle j and of their
+    own, i, j and alpha_i = num/den (1 outside ``atefx``, one per agent)."""
+    alpha = concept.alpha
+    alphas = alpha if isinstance(alpha, tuple) else (alpha or Fraction(1),) * n
+    if len(alphas) != n:
+        raise ValidationError(f"{len(alphas)} alpha values for {n} agents")
+    ratios = [a.as_integer_ratio() for a in alphas]
+    return [((i - 1) * n + j - 1, (i - 1) * (n + 1), i, j, *ratios[i - 1])
+            for i in range(1, n + 1) for j in range(1, n + 1) if j != i]
+
+
+def _envy_violation(total, removal, pairs):
+    """First (envious, envied, gap, den) along ``pairs``, or None: i envies
+    j past its removal when ``gap = num * (total - removal) - den * own > 0``."""
+    for envied, own, i, j, num, den in pairs:
+        gap = num * (total[envied] - removal[envied]) - den * total[own]
+        if gap > 0:
+            return (i, j, gap, den)
     return None
 
 
@@ -320,35 +339,19 @@ def is_mms(instance: TemporalInstance, bundles: Bundles, cap: int | None = 16) -
     return _mms_violation(instance, _per_agent(instance, bundles), cap=cap) is None
 
 
-def concept_alphas(instance: TemporalInstance, concept: Concept) -> list[Fraction] | None:
-    """The per-agent alphas of an ``atefx`` concept, checked against the
-    instance (one per agent, each in (0, 1]); None for other concepts."""
-    if concept.kind != "atefx":
-        return None
-    n = instance.n_agents
-    if isinstance(concept.alpha, Fraction):
-        return [concept.alpha] * n
-    if len(concept.alpha) != n:
-        raise ValidationError(f"{len(concept.alpha)} alpha values for {n} agents")
-    return list(concept.alpha)
-
-
-def prefix_violation(instance, bundles, concept: Concept, alphas=None, worth=None):
+def prefix_violation(instance, bundles, concept: Concept, pairs=None, worth=None):
     """Violation at one prefix, or None; shared by checker and search.
 
     A violation is ``(envious, envied, gap, den)``, shortfall
     gap/(den*scale); a share-based one has no envied agent.  Callers that
-    examine many prefixes pass ``concept_alphas`` once as ``alphas`` and,
-    for an envy concept, the prefix's grown worth matrix as ``worth``;
-    without them both are read here, the matrix from ``bundles``.
+    examine many prefixes pass ``envy_pairs`` once as ``pairs`` and, for an
+    envy concept, the prefix's grown worth state ``(total, removal)`` as
+    ``worth``; without them both are read here, the state from ``bundles``.
     """
     if concept.kind == "tmms":
         return _mms_violation(instance, bundles)
-    if alphas is None and concept.kind == "atefx":
-        alphas = concept_alphas(instance, concept)
-    if worth is None:
-        worth = _worth(instance, bundles, REMOVAL[concept.kind])
-    return _envy_violation(worth, alphas)
+    pairs = pairs or envy_pairs(instance.n_agents, concept)  # checks the alphas first
+    return _envy_violation(*(worth or _worth(instance, bundles, REMOVAL[concept.kind])), pairs)
 
 
 def check_temporal(
@@ -361,13 +364,13 @@ def check_temporal(
     The allocation is validated first (ownership, placement windows).
     Returns the first failing round with a witness, or a holding verdict.
     One sweep over the placement rounds grows the bundles (and the worth
-    matrix) by each good once; prefixes only change on rounds where
+    state) by each good once; prefixes only change on rounds where
     something is handed out, so only those are examined.  The removed good
     is found once, at the witness: the smallest id with the binding value.
     """
     validate(instance, allocation)
-    alphas = concept_alphas(instance, concept)
     pick = REMOVAL.get(concept.kind)
+    pairs = envy_pairs(instance.n_agents, concept) if pick else None
     tables = list(instance.value_table.values())
     landing: dict[int, list[str]] = {}
     for gid, t in allocation.placement.items():
@@ -379,13 +382,13 @@ def check_temporal(
             j = allocation.owner[gid] - 1
             bundles[j].append(gid)
             if pick:
-                fold(worth, j, gid, tables, pick)
-        hit = prefix_violation(instance, bundles, concept, alphas, worth)
+                fold(*worth, j, [row[gid] for row in tables], pick)
+        hit = prefix_violation(instance, bundles, concept, pairs, worth)
         if hit is not None:
             envious, envied, gap, den = hit
             removed = None if envied is None else min(
                 (g for g in bundles[envied - 1]
-                 if tables[envious - 1][g] == worth[envious - 1][envied - 1][1]),
+                 if tables[envious - 1][g] == worth[1][(envious - 1) * len(bundles) + envied - 1]),
                 key=good_key)
             return Verdict(holds=False, round=t, envious=envious, envied=envied,
                            removed_good=removed, shortfall=Fraction(gap, den * instance.scale))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from math import prod
 
 from .errors import SearchCapExceeded
-from .fairness import REMOVAL, Concept, concept_alphas, fold, prefix_violation
+from .fairness import REMOVAL, Concept, _worth, envy_pairs, fold, prefix_violation
 from .model import TemporalAllocation, TemporalInstance, allocation_to_json, good_key
 
 
@@ -83,12 +83,13 @@ def search(
     the lowest-indexed one of each group is tried; this loses no outcomes
     and returns the same first witness the unreduced order would.  A good
     placed at its arrival round, the open round, is appended to its owner's
-    bundle in that round's prefix and, for an envy concept, folded into
-    that prefix's worth matrix; backtracking pops it and puts back the
-    matrix column it saved (a min cannot be popped).  A good placed later
-    is only listed under its round.  A round opens once every good that
-    arrives before it is decided: it copies the previous round's bundles
-    and matrix and adds the goods listed under it.
+    bundle in that round's prefix and, for an envy concept, folded into a
+    copy of that prefix's worth state (``fairness._worth``);
+    backtracking pops it and puts the saved state back (a min cannot be
+    popped).  A good placed later is only listed under its round.  A round
+    opens once every good that arrives before it is decided: it copies the
+    previous round's bundles and worth state and adds the goods listed
+    under it.
 
     Every verdict from round a on, and the empty-agent rule, reads only the
     value vectors each agent holds by round a - 1 and the decided goods
@@ -107,7 +108,6 @@ def search(
         raise SearchCapExceeded(
             f"{m} goods with {n} agents exceeds the search cap of {cap}"
         )
-    alphas = concept_alphas(instance, concept)
 
     horizon = instance.horizon
     windows: list[range] = []
@@ -127,21 +127,23 @@ def search(
     ]
 
     rows = [tuple(row[g.id] for g in goods) for row in instance.value_table.values()]
+    columns = list(zip(*rows))  # columns[k]: every agent's value of good k
     # landed[t]: the (bundle j, good k) pairs placed at round t; count[j]:
     # agent j + 1's good count.  Rounds up to the open round are prefixes:
     # held[s][j], agent j + 1's goods placed by s, and for an envy concept
-    # worth[s], its worth matrix.
+    # worth[s], its worth state.
     landed: list[list[tuple[int, int]]] = [[] for _ in range(horizon + 1)]
     count = [0] * n
     held = [[[] for _ in range(n)] for _ in range(horizon + 1)]
     pick = REMOVAL.get(concept.kind)
-    worth = [[[(0, None)] * n for _ in range(n)] if pick else None
-             for _ in range(horizon + 1)]
+    pairs = envy_pairs(n, concept) if pick else None
+    # one empty state for every round: each fold goes into a fresh copy
+    worth = [_worth(instance, held[0], pick) if pick else None] * (horizon + 1)
     # goods with one value vector are interchangeable in every verdict:
     # kind[id] is the index of the first good with that good's vector
     first: dict[tuple, int] = {}
     kind = {g.id: first.setdefault(vector, k)
-            for k, (g, vector) in enumerate(zip(goods, zip(*rows)))}
+            for k, (g, vector) in enumerate(zip(goods, columns))}
     # exhausted[k]: the states at good k (a round's first) whose subtree
     # holds no witness, each with the decisions that subtree made
     exhausted: list[dict[tuple, int]] = [{} for _ in goods]
@@ -151,11 +153,11 @@ def search(
         """Make round s a prefix: round s - 1's plus the goods placed at s."""
         held[s] = [bundle[:] for bundle in held[s - 1]]
         if pick:
-            worth[s] = [row[:] for row in worth[s - 1]]
+            worth[s] = (worth[s - 1][0][:], worth[s - 1][1][:])
         for j, k in landed[s]:
             held[s][j].append(goods[k].id)
             if pick:
-                fold(worth[s], j, k, rows, pick)
+                fold(*worth[s], j, columns[k], pick)
 
     def final_ok(k: int, a: int) -> bool:
         """No violation at the rounds good k closes, opening each past a."""
@@ -163,7 +165,7 @@ def search(
             if s > a:
                 open_round(s)
             if landed[s] and prefix_violation(
-                    instance, held[s], concept, alphas, worth[s]) is not None:
+                    instance, held[s], concept, pairs, worth[s]) is not None:
                 return False
         return True
 
@@ -189,6 +191,7 @@ def search(
                     return False
             start = nodes
             open_round(a)
+        gid, column, closing = goods[k].id, columns[k], closes[k]
         for t in windows[k]:
             seen_rows = set()
             for j in range(n):
@@ -200,26 +203,26 @@ def search(
                 count[j] += 1
                 landed[t].append((j, k))
                 if t == a:
-                    held[a][j].append(goods[k].id)
+                    held[a][j].append(gid)
                     if pick:
-                        saved = [row[j] for row in worth[a]]
-                        fold(worth[a], j, k, rows, pick)
-                if final_ok(k, a) and descend(k + 1):
+                        saved = worth[a]
+                        total, removal = worth[a] = (saved[0][:], saved[1][:])
+                        fold(total, removal, j, column, pick)
+                if (not closing or final_ok(k, a)) and descend(k + 1):
                     return True
                 count[j] -= 1
                 landed[t].pop()
                 if t == a:
                     held[a][j].pop()
                     if pick:
-                        for row, entry in zip(worth[a], saved):
-                            row[j] = entry
+                        worth[a] = saved
         if memo is not None:  # the state is as on entry again
             memo[key or state(a)] = nodes - start
         return False
 
     if descend(0):
         # the decisions stay in landed; read them back in good order
-        decided = sorted((k, j, t) for t, pairs in enumerate(landed) for j, k in pairs)
+        decided = sorted((k, j, t) for t, placed in enumerate(landed) for j, k in placed)
         witness = TemporalAllocation(
             placement={goods[k].id: t for k, _, t in decided},
             owner={goods[k].id: j + 1 for k, j, _ in decided})

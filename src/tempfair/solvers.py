@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import PreconditionError, SolverFailure
-from .fairness import Concept, _envy_violation, _int_share, fold
+from .fairness import Concept, _envy_violation, _int_share, envy_pairs, fold
 from .model import (
     TemporalAllocation,
     TemporalInstance,
@@ -213,8 +213,9 @@ def solve_half_tefx_genbinary(instance: TemporalInstance, trace=None) -> Tempora
     returned allocation is fair by construction; if every routing dead
     ends, SolverFailure is raised rather than returning a bad allocation.
     ``_first_plan`` walks the goods, one stage per good and no depth
-    limit; the state is the worth matrix of ``fold`` in units of b, with
-    the cheapest good as each bundle's removal.
+    limit; the state is the worth state of ``fold`` in units of b, its
+    lists as tuples, with the cheapest good as each bundle's removal (1,
+    above every unit, while the bundle is empty).
     """
     setting = classify(instance)
     _require(setting.generalized_binary, "needs all values in {0, b}")
@@ -229,8 +230,8 @@ def solve_half_tefx_genbinary(instance: TemporalInstance, trace=None) -> Tempora
     positive_for = {
         g: frozenset(_support(instance, g)) for g in order
     }
-    # each agent's value of the k-th good in units of b
-    units = [[int(i in positive_for[g]) for g in order] for i in agents]
+    # every agent's value of the k-th good in units of b
+    units = [[int(i in positive_for[g]) for i in agents] for g in order]
     # future supply of wanted goods per agent, excluding the current good
     supply_after = []
     running = {i: 0 for i in agents}
@@ -239,13 +240,13 @@ def solve_half_tefx_genbinary(instance: TemporalInstance, trace=None) -> Tempora
         for i in positive_for[g]:
             running[i] += 1
     supply_after.reverse()
-    half = [Fraction(1, 2)] * n
+    half = envy_pairs(n, Concept("atefx", Fraction(1, 2)))
 
     def moves(k, worth):
         """Each receiver of good k that passes its round-end check, with
-        the worth matrix after it."""
+        the worth state after it."""
         support = positive_for[order[k]]
-        own = [row[i][0] for i, row in enumerate(worth)]  # the diagonal
+        own = worth[0][::n + 1]  # the diagonal
         if support:
             hungry = sorted((i for i in support if own[i - 1] == 0),
                             key=lambda i: (supply_after[k][i], i))
@@ -255,13 +256,12 @@ def solve_half_tefx_genbinary(instance: TemporalInstance, trace=None) -> Tempora
         else:
             tries = sorted(agents, key=lambda i: (own[i - 1] != 0, -i))
         for r in tries:
-            after = [list(row) for row in worth]
-            fold(after, r - 1, k, units, min)
-            after = tuple(map(tuple, after))
-            if k not in round_end or _envy_violation(after, half) is None:
-                yield r, after
+            total, removal = list(worth[0]), list(worth[1])
+            fold(total, removal, r - 1, units[k], min)
+            if k not in round_end or _envy_violation(total, removal, half) is None:
+                yield r, (tuple(total), tuple(removal))
 
-    picks = _first_plan(len(order), moves, (((0, None),) * n,) * n)
+    picks = _first_plan(len(order), moves, ((0,) * (n * n), (1,) * (n * n)))
     if picks is None:
         raise SolverFailure(
             "no routing keeps every prefix half-envy-free up to any good"
@@ -568,17 +568,21 @@ def _placed_bounds(instance):
     return bounds
 
 
+_TWO_AGENT_PAIRS = envy_pairs(2, Concept("tefx"))
+
+
 def _split_ok(totals, shares, a1v1, a1v2, min2_in_a1, min1_in_a2):
     """Two-agent envy-freeness up to any good plus maximin shares.
 
     ``totals`` and ``shares`` hold each agent's value of the placed pool
     and maximin share of it; the ``a1`` values are both agents' values of
     agent 1's pile, and the minima are each agent's cheapest good in the
-    other's pile, None while that pile is empty (no envy is possible).
+    other's pile, None while that pile is empty: it is worth 0, so a
+    removal of 0 keeps it unenvied.
     """
-    worth = [[(a1v1, None), (totals[0] - a1v1, min1_in_a2)],
-             [(a1v2, min2_in_a1), (totals[1] - a1v2, None)]]
-    return (_envy_violation(worth) is None
+    total = (a1v1, totals[0] - a1v1, a1v2, totals[1] - a1v2)
+    removal = (0, min1_in_a2 or 0, min2_in_a1 or 0, 0)
+    return (_envy_violation(total, removal, _TWO_AGENT_PAIRS) is None
             and a1v1 >= shares[0] and totals[1] - a1v2 >= shares[1])
 
 

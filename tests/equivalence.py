@@ -1,5 +1,6 @@
-"""Digest what the single-round routines and the solvers output, one line
-per case, to show that two source trees behave the same.
+"""Digest what the single-round routines, the solvers, ``search`` and
+``check_temporal`` output, one line per case, to show that two source
+trees behave the same.
 
     PYTHONPATH=src python tests/equivalence.py > digests.txt
     python tests/equivalence.py --compare OLD/src NEW/src
@@ -8,7 +9,10 @@ Each line is a stable case id and the SHA-256 of the case's output:
 bundles (in the routine's agent order) and trace for ``round_robin``,
 ``envy_cycle_elimination`` and ``envy_ordered_pick_rounds``; allocation
 JSON and trace for every registered solver on seeded ``generate`` draws;
-or, when the call raises, the exception's type and text.  Each family's
+``to_json`` of ``search``, node count included, under every concept with
+and without scheduling; the verdict JSON, witness included, of
+``check_temporal`` under every concept on solver outputs and on random
+valid allocations; or, when the call raises, the exception's type and text.  Each family's
 case count and the SHA-256 of its lines go to stderr.  ``--compare`` runs
 every case on both trees and prints the first case whose digests differ,
 with both outputs.  Seeds come from ``zlib.crc32`` of the case id, so the
@@ -95,6 +99,98 @@ def _instance(k: int):
                     buffer=rng.randint(1, 3), **flags)
 
 
+# one alpha for every agent, or one drawn per agent
+ALPHAS = ("1/3", "1/2", "2/3", "9/10", "1")
+TWIN_SCALE = "3/7"
+
+
+def _concepts(rng, n: int) -> list[str]:
+    """Every concept: atefx once with one alpha, once with one per agent."""
+    per_agent = ",".join(rng.choice(ALPHAS) for _ in range(n))
+    return ["tef1", "tefx", f"atefx:{rng.choice(ALPHAS)}", f"atefx:{per_agent}", "tmms"]
+
+
+def _twin(instance):
+    """The instance with every value times ``TWIN_SCALE``."""
+    from fractions import Fraction
+
+    from tempfair.model import instance_from_json
+
+    scale = Fraction(TWIN_SCALE)
+    return instance_from_json({
+        "agents": instance.n_agents, "buffer": instance.buffer,
+        "rounds": [list(r) for r in instance.rounds],
+        "values": {g.id: [str(v * scale) for v in g.values] for g in instance.goods},
+    })
+
+
+@lru_cache(maxsize=1)
+def _search_draw(k: int):
+    """1-4 agents, at most 6, 14, 10 or 9 goods by agent count (about half
+    that or more) over 1-6 rounds, one structural flag or none, buffer 1-3;
+    one draw in three has 3 agents and 2-3 goods on each of 3-4 rounds, or
+    4 agents and 2-3 goods on each of 3 rounds, where fair allocations are
+    rarer.  The rational twin a third of the time; with its concepts."""
+    from tempfair.generators import generate
+
+    rng = _rng(f"search/{k}")
+    if rng.random() < 1 / 3:
+        n = rng.randint(3, 4)
+        horizon, per_round = rng.randint(3, 7 - n), rng.randint(2, 3)
+    else:
+        n = rng.randint(1, 4)
+        most = (6, 14, 10, 9)[n - 1]
+        horizon = rng.randint(1, 6)
+        per_round = max(1, rng.randint(most // 2, most) // horizon)
+    flag = rng.choice([None, "identical_days", "generalized_binary", "identical_valuation"])
+    instance = generate(n, horizon, per_round, rng.choice([1, 2, 5, 9]), rng.randrange(10**6),
+                        buffer=rng.randint(1, 3), **({flag: True} if flag else {}))
+    return (_twin(instance) if rng.random() < 1 / 3 else instance), _concepts(rng, n)
+
+
+def _search(k: int, c: int, scheduled: bool):
+    from tempfair.fairness import Concept
+    from tempfair.search import search
+
+    instance, concepts = _search_draw(k)
+    return search(instance, Concept.from_string(concepts[c]), scheduled).to_json()
+
+
+@lru_cache(maxsize=1)
+def _check_draw(k: int):
+    """A ``generate`` draw of the solver family, the rational twin a third
+    of the time, with its concepts and allocations: each solver output and
+    two random valid allocations."""
+    from tempfair.model import TemporalAllocation
+    from tempfair.solvers import SOLVERS
+
+    rng = _rng(f"check/{k}")
+    instance = _instance(k)
+    if rng.random() < 1 / 3:
+        instance = _twin(instance)
+    allocations = {}
+    for name in sorted(SOLVERS):
+        try:
+            allocations[name] = SOLVERS[name].run(instance)
+        except Exception:  # no output to check
+            pass
+    windows = {g.id: (g.arrival, min(g.arrival + instance.buffer - 1, instance.horizon))
+               for g in instance.goods}
+    for r in range(2):
+        allocations[f"random{r}"] = TemporalAllocation(
+            placement={g: rng.randint(*w) for g, w in windows.items()},
+            owner={g: rng.randint(1, instance.n_agents) for g in windows})
+    return instance, _concepts(rng, instance.n_agents), allocations
+
+
+def _check(k: int, source: str, c: int):
+    from tempfair.fairness import Concept, check_temporal
+
+    instance, concepts, allocations = _check_draw(k)
+    concept = Concept.from_string(concepts[c])
+    return check_temporal(instance, allocations[source], concept).to_json()
+
+
 def _solve(name: str, k: int):
     from tempfair.model import allocation_to_json
     from tempfair.solvers import SOLVERS
@@ -104,7 +200,7 @@ def _solve(name: str, k: int):
     return {"allocation": allocation_to_json(alloc), "trace": trace}
 
 
-def cases(draws: int, solver_draws: int):
+def cases(draws: int, solver_draws: int, search_draws: int, check_draws: int):
     """Every (family, case id, thunk) in a fixed order."""
     from tempfair.solvers import SOLVERS
 
@@ -115,6 +211,16 @@ def cases(draws: int, solver_draws: int):
     for k in range(solver_draws):
         for name in sorted(SOLVERS):
             yield "solvers", f"solvers/{name}/{k}", lambda n=name, k=k: _solve(n, k)
+    for k in range(search_draws):
+        for c in range(5):
+            for scheduled in (False, True):
+                yield ("search", f"search/{k}/{c}/{int(scheduled)}",
+                       lambda k=k, c=c, s=scheduled: _search(k, c, s))
+    for k in range(check_draws):
+        for source in _check_draw(k)[2]:
+            for c in range(5):
+                yield ("check_temporal", f"check/{k}/{source}/{c}",
+                       lambda k=k, s=source, c=c: _check(k, s, c))
 
 
 def output(thunk) -> str:
@@ -150,14 +256,19 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--draws", type=int, default=20000, help="draws per single-round routine")
     p.add_argument("--solver-draws", type=int, default=3000, help="generate draws for the solvers")
+    p.add_argument("--search-draws", type=int, default=600, help="search draws, ten searches each")
+    p.add_argument("--check-draws", type=int, default=1000,
+                   help="generate draws whose allocations are checked under every concept")
     p.add_argument("--show", metavar="CASE", help="print one case's output instead")
     p.add_argument("--compare", nargs=2, metavar=("OLD_SRC", "NEW_SRC"))
     args = p.parse_args(argv)
-    counts = ["--draws", str(args.draws), "--solver-draws", str(args.solver_draws)]
+    counts = ["--draws", str(args.draws), "--solver-draws", str(args.solver_draws),
+              "--search-draws", str(args.search_draws), "--check-draws", str(args.check_draws)]
     if args.compare:
         return compare(*args.compare, counts)
     families = {}
-    for family, case, thunk in cases(args.draws, args.solver_draws):
+    for family, case, thunk in cases(args.draws, args.solver_draws, args.search_draws,
+                                        args.check_draws):
         if args.show is None:
             line = f"{case} {hashlib.sha256(output(thunk).encode()).hexdigest()}\n"
             sys.stdout.write(line)

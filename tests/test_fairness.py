@@ -19,7 +19,9 @@ from tempfair.fairness import (
     Concept,
     ShareCapExceeded,
     Verdict,
+    _worth,
     check_temporal,
+    envy_pairs,
     fold,
     is_alpha_efx,
     is_ef1,
@@ -606,8 +608,8 @@ def test_prefix_violation_dispatch():
     even = single_round_instance({1: {"a": 1, "b": 1}, 2: {"a": 1, "b": 1}}, ["a", "b"], 2)
     assert prefix_violation(even, (frozenset({"g1"}), frozenset({"g2"})), Concept("tmms")) is None
     assert prefix_violation(even, (frozenset({"g1", "g2"}), frozenset()), Concept("tmms")) is not None
-    # a matrix grown one good at a time gives the violation of one built
-    # from the bundles
+    # a worth state grown one good at a time gives the violation of one
+    # built from the bundles
     rng = random.Random(41)
     concepts = [Concept("tef1"), Concept("tefx"), Concept("atefx", (F(1, 2), F(1), F(2, 3)))]
     seen = set()
@@ -617,11 +619,10 @@ def test_prefix_violation_dispatch():
         bundles = [[g for g in owner if owner[g] == i] for i in inst.agents]
         for concept in concepts:
             pick = REMOVAL[concept.kind]
-            worth = [[(0, None)] * 3 for _ in range(3)]
+            worth = _worth(inst, [[], [], []], pick)
             for gid in rng.sample(sorted(owner), len(owner)):
-                fold(worth, owner[gid] - 1, gid, inst.value_table.values(), pick)
-            alphas = [F(1, 2), F(1), F(2, 3)] if concept.kind == "atefx" else None
+                fold(*worth, owner[gid] - 1, [row[gid] for row in inst.value_table.values()], pick)
             built = prefix_violation(inst, bundles, concept)
-            assert prefix_violation(inst, bundles, concept, alphas, worth) == built
+            assert prefix_violation(inst, bundles, concept, envy_pairs(3, concept), worth) == built
             seen.add(built is None)
     assert seen == {True, False}
