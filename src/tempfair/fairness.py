@@ -166,26 +166,26 @@ def _per_agent(instance, bundles):
     return bundles
 
 
-def envy_pairs(n, concept: Concept):
-    """What an envy check under ``concept`` walks, (i, j) in index order,
-    i != j: the worth entries of agent i's view of bundle j and of their
-    own, i, j and alpha_i = num/den (1 outside ``atefx``, one per agent)."""
+def envy_rows(n, concept: Concept):
+    """An envy check's rows, one per agent i in index order: i, their own
+    bundle's entry, alpha_i = num/den (1 outside ``atefx``) and the entries
+    of their view of bundles 1..n; their own never fails (values >= 0, alpha <= 1)."""
     alpha = concept.alpha
     alphas = alpha if isinstance(alpha, tuple) else (alpha or Fraction(1),) * n
     if len(alphas) != n:
         raise ValidationError(f"{len(alphas)} alpha values for {n} agents")
-    ratios = [a.as_integer_ratio() for a in alphas]
-    return [((i - 1) * n + j - 1, (i - 1) * (n + 1), i, j, *ratios[i - 1])
-            for i in range(1, n + 1) for j in range(1, n + 1) if j != i]
+    return [(i, (i - 1) * (n + 1), *alphas[i - 1].as_integer_ratio(), range((i - 1) * n, i * n))
+            for i in range(1, n + 1)]
 
 
-def _envy_violation(total, removal, pairs):
-    """First (envious, envied, gap, den) along ``pairs``, or None: i envies
+def _envy_violation(total, removal, rows):
+    """First (envious, envied, gap, den) along ``rows``, or None: i envies
     j past its removal when ``gap = num * (total - removal) - den * own > 0``."""
-    for envied, own, i, j, num, den in pairs:
-        gap = num * (total[envied] - removal[envied]) - den * total[own]
-        if gap > 0:
-            return (i, j, gap, den)
+    for i, own, num, den, view in rows:
+        mine = den * total[own]
+        for e in view:
+            if num * (total[e] - removal[e]) > mine:
+                return (i, e - view.start + 1, num * (total[e] - removal[e]) - mine, den)
     return None
 
 
@@ -339,19 +339,19 @@ def is_mms(instance: TemporalInstance, bundles: Bundles, cap: int | None = 16) -
     return _mms_violation(instance, _per_agent(instance, bundles), cap=cap) is None
 
 
-def prefix_violation(instance, bundles, concept: Concept, pairs=None, worth=None):
+def prefix_violation(instance, bundles, concept: Concept, rows=None, worth=None):
     """Violation at one prefix, or None; shared by checker and search.
 
     A violation is ``(envious, envied, gap, den)``, shortfall
     gap/(den*scale); a share-based one has no envied agent.  Callers that
-    examine many prefixes pass ``envy_pairs`` once as ``pairs`` and, for an
+    examine many prefixes pass ``envy_rows`` once as ``rows`` and, for an
     envy concept, the prefix's grown worth state ``(total, removal)`` as
     ``worth``; without them both are read here, the state from ``bundles``.
     """
     if concept.kind == "tmms":
         return _mms_violation(instance, bundles)
-    pairs = pairs or envy_pairs(instance.n_agents, concept)  # checks the alphas first
-    return _envy_violation(*(worth or _worth(instance, bundles, REMOVAL[concept.kind])), pairs)
+    rows = rows or envy_rows(instance.n_agents, concept)  # checks the alphas first
+    return _envy_violation(*(worth or _worth(instance, bundles, REMOVAL[concept.kind])), rows)
 
 
 def check_temporal(
@@ -370,7 +370,7 @@ def check_temporal(
     """
     validate(instance, allocation)
     pick = REMOVAL.get(concept.kind)
-    pairs = envy_pairs(instance.n_agents, concept) if pick else None
+    rows = envy_rows(instance.n_agents, concept) if pick else None
     tables = list(instance.value_table.values())
     landing: dict[int, list[str]] = {}
     for gid, t in allocation.placement.items():
@@ -383,7 +383,7 @@ def check_temporal(
             bundles[j].append(gid)
             if pick:
                 fold(*worth, j, [row[gid] for row in tables], pick)
-        hit = prefix_violation(instance, bundles, concept, pairs, worth)
+        hit = prefix_violation(instance, bundles, concept, rows, worth)
         if hit is not None:
             envious, envied, gap, den = hit
             removed = None if envied is None else min(

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from math import prod
 
 from .errors import SearchCapExceeded
-from .fairness import REMOVAL, Concept, _worth, envy_pairs, fold, prefix_violation
+from .fairness import REMOVAL, Concept, _worth, envy_rows, fold, prefix_violation
 from .model import TemporalAllocation, TemporalInstance, allocation_to_json, good_key
 
 
@@ -136,7 +136,7 @@ def search(
     count = [0] * n
     held = [[[] for _ in range(n)] for _ in range(horizon + 1)]
     pick = REMOVAL.get(concept.kind)
-    pairs = envy_pairs(n, concept) if pick else None
+    envy = envy_rows(n, concept) if pick else None
     # one empty state for every round: each fold goes into a fresh copy
     worth = [_worth(instance, held[0], pick) if pick else None] * (horizon + 1)
     # goods with one value vector are interchangeable in every verdict:
@@ -165,7 +165,7 @@ def search(
             if s > a:
                 open_round(s)
             if landed[s] and prefix_violation(
-                    instance, held[s], concept, pairs, worth[s]) is not None:
+                    instance, held[s], concept, envy, worth[s]) is not None:
                 return False
         return True
 

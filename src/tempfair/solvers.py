@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import PreconditionError, SolverFailure
-from .fairness import Concept, _envy_violation, _int_share, envy_pairs, fold
+from .fairness import Concept, _envy_violation, _int_share, envy_rows, fold
 from .model import (
     TemporalAllocation,
     TemporalInstance,
@@ -240,7 +240,7 @@ def solve_half_tefx_genbinary(instance: TemporalInstance, trace=None) -> Tempora
         for i in positive_for[g]:
             running[i] += 1
     supply_after.reverse()
-    half = envy_pairs(n, Concept("atefx", Fraction(1, 2)))
+    half = envy_rows(n, Concept("atefx", Fraction(1, 2)))
 
     def moves(k, worth):
         """Each receiver of good k that passes its round-end check, with
@@ -568,7 +568,7 @@ def _placed_bounds(instance):
     return bounds
 
 
-_TWO_AGENT_PAIRS = envy_pairs(2, Concept("tefx"))
+_TWO_AGENT_ROWS = envy_rows(2, Concept("tefx"))
 
 
 def _split_ok(totals, shares, a1v1, a1v2, min2_in_a1, min1_in_a2):
@@ -582,7 +582,7 @@ def _split_ok(totals, shares, a1v1, a1v2, min2_in_a1, min1_in_a2):
     """
     total = (a1v1, totals[0] - a1v1, a1v2, totals[1] - a1v2)
     removal = (0, min1_in_a2 or 0, min2_in_a1 or 0, 0)
-    return (_envy_violation(total, removal, _TWO_AGENT_PAIRS) is None
+    return (_envy_violation(total, removal, _TWO_AGENT_ROWS) is None
             and a1v1 >= shares[0] and totals[1] - a1v2 >= shares[1])
 
 

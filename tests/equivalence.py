@@ -33,6 +33,8 @@ import zlib
 from functools import lru_cache
 
 ROUTINES = ("round_robin", "envy_cycle_elimination", "envy_ordered_pick_rounds")
+SEARCH_DRAWS = 600  # ten searches each
+CHECK_DRAWS = 1000  # draws whose allocations are checked under every concept
 
 
 def _rng(case: str) -> random.Random:
@@ -200,7 +202,7 @@ def _solve(name: str, k: int):
     return {"allocation": allocation_to_json(alloc), "trace": trace}
 
 
-def cases(draws: int, solver_draws: int, search_draws: int, check_draws: int):
+def cases(draws: int, solver_draws: int):
     """Every (family, case id, thunk) in a fixed order."""
     from tempfair.solvers import SOLVERS
 
@@ -211,12 +213,12 @@ def cases(draws: int, solver_draws: int, search_draws: int, check_draws: int):
     for k in range(solver_draws):
         for name in sorted(SOLVERS):
             yield "solvers", f"solvers/{name}/{k}", lambda n=name, k=k: _solve(n, k)
-    for k in range(search_draws):
+    for k in range(SEARCH_DRAWS):
         for c in range(5):
             for scheduled in (False, True):
                 yield ("search", f"search/{k}/{c}/{int(scheduled)}",
                        lambda k=k, c=c, s=scheduled: _search(k, c, s))
-    for k in range(check_draws):
+    for k in range(CHECK_DRAWS):
         for source in _check_draw(k)[2]:
             for c in range(5):
                 yield ("check_temporal", f"check/{k}/{source}/{c}",
@@ -256,19 +258,14 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--draws", type=int, default=20000, help="draws per single-round routine")
     p.add_argument("--solver-draws", type=int, default=3000, help="generate draws for the solvers")
-    p.add_argument("--search-draws", type=int, default=600, help="search draws, ten searches each")
-    p.add_argument("--check-draws", type=int, default=1000,
-                   help="generate draws whose allocations are checked under every concept")
     p.add_argument("--show", metavar="CASE", help="print one case's output instead")
     p.add_argument("--compare", nargs=2, metavar=("OLD_SRC", "NEW_SRC"))
     args = p.parse_args(argv)
-    counts = ["--draws", str(args.draws), "--solver-draws", str(args.solver_draws),
-              "--search-draws", str(args.search_draws), "--check-draws", str(args.check_draws)]
+    counts = ["--draws", str(args.draws), "--solver-draws", str(args.solver_draws)]
     if args.compare:
         return compare(*args.compare, counts)
     families = {}
-    for family, case, thunk in cases(args.draws, args.solver_draws, args.search_draws,
-                                        args.check_draws):
+    for family, case, thunk in cases(args.draws, args.solver_draws):
         if args.show is None:
             line = f"{case} {hashlib.sha256(output(thunk).encode()).hexdigest()}\n"
             sys.stdout.write(line)

@@ -7,11 +7,13 @@ prefix by prefix, and ``search`` existence, with ``naive_ef1``,
 ``naive_efx`` and ``naive_alpha_efx``: all-zero tables, zero-valued goods
 in an envied bundle, one agent, the two-agent split test with one pile
 still empty, per-agent alphas, and rational twins, where only the
-shortfall scales.
+shortfall scales.  With many agents and two goods almost every bundle is
+empty, and the envy check's memory stays near its n * n worth state.
 """
 
 import itertools
 import random
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -176,3 +178,20 @@ def test_twins_scale_only_the_shortfall():
                 assert scaled == plain
             assert search(twin, c, True) == search(inst, c, True)
     assert failures
+
+
+def test_many_agents_two_goods_bounded_memory():
+    # 300 agents: a worth state list is 0.7 MB and search holds a few of
+    # them; a list of every (envious, envied) pair would take about 35 MB
+    n = 300
+    instance = TemporalInstance.from_value_rounds([[(1,) * n], [(2,) * n]])
+    allocation = TemporalAllocation({"g1": 1, "g2": 2}, {"g1": 1, "g2": 2})
+    tracemalloc.start()
+    try:
+        outcome = search(instance, Concept("tefx"))
+        verdict = check_temporal(instance, allocation, Concept("tefx"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (outcome.exists, outcome.nodes_visited, verdict.holds) == (True, 3, True)
+    assert peak < 12_000_000

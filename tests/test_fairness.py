@@ -21,7 +21,7 @@ from tempfair.fairness import (
     Verdict,
     _worth,
     check_temporal,
-    envy_pairs,
+    envy_rows,
     fold,
     is_alpha_efx,
     is_ef1,
@@ -623,6 +623,6 @@ def test_prefix_violation_dispatch():
             for gid in rng.sample(sorted(owner), len(owner)):
                 fold(*worth, owner[gid] - 1, [row[gid] for row in inst.value_table.values()], pick)
             built = prefix_violation(inst, bundles, concept)
-            assert prefix_violation(inst, bundles, concept, envy_pairs(3, concept), worth) == built
+            assert prefix_violation(inst, bundles, concept, envy_rows(3, concept), worth) == built
             seen.add(built is None)
     assert seen == {True, False}
