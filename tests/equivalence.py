@@ -232,6 +232,11 @@ def output(thunk) -> str:
         return f"{type(exc).__name__}: {exc}"
 
 
+def line(case: str, thunk) -> str:
+    """The case's digest line: its id and the SHA-256 of its output."""
+    return f"{case} {hashlib.sha256(output(thunk).encode()).hexdigest()}\n"
+
+
 def _run(src: str, argv: list[str]) -> str:
     env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
     return subprocess.run([sys.executable, os.path.abspath(__file__), *argv], env=env,
@@ -267,10 +272,10 @@ def main(argv=None) -> int:
     families = {}
     for family, case, thunk in cases(args.draws, args.solver_draws):
         if args.show is None:
-            line = f"{case} {hashlib.sha256(output(thunk).encode()).hexdigest()}\n"
-            sys.stdout.write(line)
+            digest = line(case, thunk)
+            sys.stdout.write(digest)
             n, h = families.setdefault(family, (0, hashlib.sha256()))
-            h.update(line.encode())
+            h.update(digest.encode())
             families[family] = (n + 1, h)
         elif case == args.show:
             print(output(thunk))
