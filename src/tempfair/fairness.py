@@ -3,11 +3,13 @@
 All comparisons are exact: they sum the integers of the instance's
 ``value_table`` (each value times the instance's ``scale``), and only a
 witness's shortfall turns back into a Fraction, divided by ``scale``.  The
-temporal variants demand the property at every prefix: the bundles of
-goods handed out in rounds 1..t, for each t up to the horizon.  Each
-prefix is the one before plus the goods placed at t, so the checker grows
-its bundles in place, and for the envy notions a flat worth state (see
-``_worth``); ties between equal removals are broken once, at the witness.
+temporal variants demand the property at every prefix: the goods handed
+out in rounds 1..t, for each t up to the horizon.  A prefix is recorded
+as its rounds of hand-outs, each a ``(bundle index j, good id)`` pair for
+agent j + 1; each prefix is the one before plus the hand-outs of round t,
+so the checker appends one round, and for the envy notions folds it into
+a flat worth state (see ``_worth``).  Ties between equal removals are
+broken once, at the witness.
 
 Three envy notions on bundles, each with the removal quantified over the
 envied bundle:
@@ -144,26 +146,28 @@ def fold(total, removal, j, column, pick):
             e += n
 
 
-def _worth(instance, bundles, pick):
-    """The worth state of fixed bundles, each read once: lists ``total`` and
-    ``removal`` of n * n ints, entry i * n + j for agent i + 1's view of
-    bundle j + 1.  An empty bundle's removal, a sentinel the first fold
-    replaces (0 under max, the top value under min), keeps total - removal <= 0."""
+def _worth(instance, rounds, pick):
+    """The worth state of rounds of hand-outs, each folded once: lists
+    ``total`` and ``removal`` of n * n ints, entry i * n + j for agent
+    i + 1's view of bundle j + 1.  An empty bundle's removal, a sentinel the
+    first fold replaces (0 under max, the top value under min), keeps
+    total - removal <= 0."""
     n, tables = instance.n_agents, instance.value_table.values()
     top = 0 if pick is max else max((v for row in tables for v in row.values()), default=0)
     total, removal = [0] * (n * n), [top] * (n * n)
-    for j, bundle in enumerate(bundles):
-        for g in bundle:
+    for handouts in rounds:
+        for j, g in handouts:
             fold(total, removal, j, [row[g] for row in tables], pick)
     return total, removal
 
 
 def _per_agent(instance, bundles):
-    """Fixed bundles as lists, after checking there is one per agent."""
-    bundles = [list(b) for b in bundles]
+    """Fixed bundles as one round of hand-outs, after checking there is one
+    per agent."""
+    bundles = list(bundles)
     if len(bundles) != instance.n_agents:
         raise ValidationError(f"{len(bundles)} bundles for {instance.n_agents} agents")
-    return bundles
+    return [[(j, g) for j, bundle in enumerate(bundles) for g in bundle]]
 
 
 def envy_rows(n, concept: Concept):
@@ -318,16 +322,21 @@ def _mms_share_search(vals: tuple[int, ...], n_parts: int) -> int:
     return best
 
 
-def _mms_violation(instance, bundles, cap=16):
-    """First agent whose bundle misses their maximin share over the pool,
-    as ``(agent, None, gap, 1)`` with the gap in table integers."""
-    pool = [gid for b in bundles for gid in b]
-    for i in instance.agents:
-        row = instance.value_table[i]
+def _mms_violation(instance, rounds, cap=16):
+    """First agent whose bundle misses their maximin share over the pool of
+    every hand-out in ``rounds``, as ``(agent, None, gap, 1)`` with the gap
+    in table integers.  One pass over the hand-outs gives the pool and each
+    agent's own total."""
+    tables = list(instance.value_table.values())
+    pool, have = [], [0] * instance.n_agents
+    for handouts in rounds:
+        for j, g in handouts:
+            pool.append(g)
+            have[j] += tables[j][g]
+    for i, row in enumerate(tables):
         share = _int_share([row[g] for g in pool], instance.n_agents, cap)
-        have = sum(row[g] for g in bundles[i - 1])
-        if have < share:
-            return (i, None, share - have, 1)
+        if have[i] < share:
+            return (i + 1, None, share - have[i], 1)
     return None
 
 
@@ -339,19 +348,21 @@ def is_mms(instance: TemporalInstance, bundles: Bundles, cap: int | None = 16) -
     return _mms_violation(instance, _per_agent(instance, bundles), cap=cap) is None
 
 
-def prefix_violation(instance, bundles, concept: Concept, rows=None, worth=None):
+def prefix_violation(instance, rounds, concept: Concept, rows=None, worth=None):
     """Violation at one prefix, or None; shared by checker and search.
 
-    A violation is ``(envious, envied, gap, den)``, shortfall
+    The prefix is ``rounds``, its rounds of ``(bundle index j, good id)``
+    hand-outs.  A violation is ``(envious, envied, gap, den)``, shortfall
     gap/(den*scale); a share-based one has no envied agent.  Callers that
     examine many prefixes pass ``envy_rows`` once as ``rows`` and, for an
     envy concept, the prefix's grown worth state ``(total, removal)`` as
-    ``worth``; without them both are read here, the state from ``bundles``.
+    ``worth``; without them both are read here, the state folded from
+    ``rounds``.
     """
     if concept.kind == "tmms":
-        return _mms_violation(instance, bundles)
+        return _mms_violation(instance, rounds)
     rows = rows or envy_rows(instance.n_agents, concept)  # checks the alphas first
-    return _envy_violation(*(worth or _worth(instance, bundles, REMOVAL[concept.kind])), rows)
+    return _envy_violation(*(worth or _worth(instance, rounds, REMOVAL[concept.kind])), rows)
 
 
 def check_temporal(
@@ -363,32 +374,34 @@ def check_temporal(
 
     The allocation is validated first (ownership, placement windows).
     Returns the first failing round with a witness, or a holding verdict.
-    One sweep over the placement rounds grows the bundles (and the worth
-    state) by each good once; prefixes only change on rounds where
-    something is handed out, so only those are examined.  The removed good
-    is found once, at the witness: the smallest id with the binding value.
+    ``landing[t]`` lists the hand-outs placed at round t; one sweep over
+    those rounds appends each to the prefix (and folds its goods into the
+    worth state) once.  Prefixes only change on rounds where something is
+    handed out, so only those are examined.  The removed good is found
+    once, at the witness: the smallest id, among the envied agent's
+    hand-outs, with the binding value.
     """
     validate(instance, allocation)
+    n = instance.n_agents
     pick = REMOVAL.get(concept.kind)
-    rows = envy_rows(instance.n_agents, concept) if pick else None
+    rows = envy_rows(n, concept) if pick else None
     tables = list(instance.value_table.values())
-    landing: dict[int, list[str]] = {}
+    landing: dict[int, list[tuple[int, str]]] = {}
     for gid, t in allocation.placement.items():
-        landing.setdefault(t, []).append(gid)
-    bundles: list[list[str]] = [[] for _ in instance.agents]
-    worth = _worth(instance, bundles, pick) if pick else None
+        landing.setdefault(t, []).append((allocation.owner[gid] - 1, gid))
+    rounds: list[list[tuple[int, str]]] = []
+    worth = _worth(instance, rounds, pick) if pick else None
     for t in sorted(landing):
-        for gid in landing[t]:
-            j = allocation.owner[gid] - 1
-            bundles[j].append(gid)
-            if pick:
+        rounds.append(landing[t])
+        if pick:
+            for j, gid in landing[t]:
                 fold(*worth, j, [row[gid] for row in tables], pick)
-        hit = prefix_violation(instance, bundles, concept, rows, worth)
+        hit = prefix_violation(instance, rounds, concept, rows, worth)
         if hit is not None:
             envious, envied, gap, den = hit
             removed = None if envied is None else min(
-                (g for g in bundles[envied - 1]
-                 if tables[envious - 1][g] == worth[1][(envious - 1) * len(bundles) + envied - 1]),
+                (g for handouts in rounds for j, g in handouts if j == envied - 1
+                 and tables[envious - 1][g] == worth[1][(envious - 1) * n + envied - 1]),
                 key=good_key)
             return Verdict(holds=False, round=t, envious=envious, envied=envied,
                            removed_good=removed, shortfall=Fraction(gap, den * instance.scale))

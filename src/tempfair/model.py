@@ -270,16 +270,14 @@ def validate(instance: TemporalInstance, allocation: TemporalAllocation) -> None
 class SettingClass:
     """Which structured valuation classes an instance belongs to.
 
-    ``generalized_binary_level`` is the positive level b when values all lie
-    in {0, b}; an all-zero instance is generalized binary with level None.
-    ``bi_valued_levels`` is the (low, high) pair when all values are positive
-    and take at most two distinct levels; a single positive level means
-    low == high.
+    ``generalized_binary`` means values all lie in {0, b} for one b; an
+    all-zero instance counts.  ``bi_valued_levels`` is the (low, high) pair
+    when all values are positive and take at most two distinct levels; a
+    single positive level means low == high.
     """
 
     identical_days: bool
     generalized_binary: bool
-    generalized_binary_level: Fraction | None
     bi_valued: bool
     bi_valued_levels: tuple[Fraction, Fraction] | None
     identical_valuation: bool
@@ -314,12 +312,10 @@ def classify(instance: TemporalInstance) -> SettingClass:
 
     distinct = set().union(*(r.values() for r in rows))
     positive = sorted(v for v in distinct if v > 0)
-    scale = instance.scale
     gen_binary = len(positive) <= 1
-    gen_binary_level = Fraction(positive[0], scale) if (gen_binary and positive) else None
     bi_valued = 0 not in distinct and len(distinct) >= 1 and len(positive) <= 2
     if bi_valued and positive:
-        levels = (Fraction(positive[0], scale), Fraction(positive[-1], scale))
+        levels = (Fraction(positive[0], instance.scale), Fraction(positive[-1], instance.scale))
     else:
         levels = None
 
@@ -331,7 +327,6 @@ def classify(instance: TemporalInstance) -> SettingClass:
     return SettingClass(
         identical_days=identical_days,
         generalized_binary=gen_binary,
-        generalized_binary_level=gen_binary_level,
         bi_valued=bi_valued,
         bi_valued_levels=levels,
         identical_valuation=identical_valuation,

@@ -5,10 +5,11 @@ to an agent (and, in scheduling mode, every legal placement round for it).
 Depth-first with prefix pruning: once all goods arriving by round t are
 decided, the bundle prefix at t is final, so a violation there kills the
 whole branch.  Prefixes whose bundles did not change inherit the previous
-verdict and are skipped.  Only rounds up to the one whose arrivals are
-being decided hold a prefix; a later round is built from the one before
-when the search reaches it.  A state at a round boundary whose subtree held
-no witness is skipped when the search meets it again.
+verdict and are skipped.  A prefix is the hand-outs listed under rounds
+1..t; for an envy concept, only rounds up to the one whose arrivals are
+being decided hold a worth state, and a later round's is built from the
+one before when the search reaches it.  A state at a round boundary whose
+subtree held no witness is skipped when the search meets it again.
 """
 
 from __future__ import annotations
@@ -30,8 +31,6 @@ def goods_cap(n_agents: int) -> int:
     """Largest good count search accepts for this many agents."""
     if n_agents <= 2:
         return 18
-    if n_agents == 3:
-        return 14
     m = 1
     while n_agents ** (m + 1) <= _BUDGET:
         m += 1
@@ -81,14 +80,16 @@ def search(
     lexicographically least one.  Among agents whose bundles are still
     empty, those with identical valuation rows are interchangeable, so only
     the lowest-indexed one of each group is tried; this loses no outcomes
-    and returns the same first witness the unreduced order would.  A good
-    placed at its arrival round, the open round, is appended to its owner's
-    bundle in that round's prefix and, for an envy concept, folded into a
-    copy of that prefix's worth state (``fairness._worth``);
-    backtracking pops it and puts the saved state back (a min cannot be
-    popped).  A good placed later is only listed under its round.  A round
-    opens once every good that arrives before it is decided: it copies the
-    previous round's bundles and worth state and adds the goods listed
+    and returns the same first witness the unreduced order would.  Each
+    decision is a hand-out ``(bundle index, good id)`` listed under its
+    placement round, and backtracking pops it; the prefix at round t is
+    the hand-outs of rounds 1..t, which the share test reads directly.
+    For an envy concept, rounds up to the open round (the arrival round of
+    the good being decided) also hold a worth state (``fairness._worth``).
+    A good placed at the open round is folded into a copy of its state,
+    and backtracking puts the saved state back (a min cannot be popped).
+    A round opens once every good that arrives before it is decided: it
+    copies the previous round's state and folds the hand-outs listed
     under it.
 
     Every verdict from round a on, and the empty-agent rule, reads only the
@@ -127,37 +128,32 @@ def search(
     ]
 
     rows = [tuple(row[g.id] for g in goods) for row in instance.value_table.values()]
-    columns = list(zip(*rows))  # columns[k]: every agent's value of good k
-    # landed[t]: the (bundle j, good k) pairs placed at round t; count[j]:
-    # agent j + 1's good count.  Rounds up to the open round are prefixes:
-    # held[s][j], agent j + 1's goods placed by s, and for an envy concept
-    # worth[s], its worth state.
-    landed: list[list[tuple[int, int]]] = [[] for _ in range(horizon + 1)]
+    # columns[id]: every agent's value of the good
+    columns = dict(zip((g.id for g in goods), zip(*rows)))
+    # landed[t]: the (bundle j, good id) hand-outs placed at round t;
+    # count[j]: agent j + 1's good count.  For an envy concept, worth[s] is
+    # the worth state of round s, for rounds up to the open round.
+    landed: list[list[tuple[int, str]]] = [[] for _ in range(horizon + 1)]
     count = [0] * n
-    held = [[[] for _ in range(n)] for _ in range(horizon + 1)]
     pick = REMOVAL.get(concept.kind)
     envy = envy_rows(n, concept) if pick else None
     # one empty state for every round: each fold goes into a fresh copy
-    worth = [_worth(instance, held[0], pick) if pick else None] * (horizon + 1)
+    worth = [_worth(instance, [], pick) if pick else None] * (horizon + 1)
     # goods with one value vector are interchangeable in every verdict:
     # kind[id] is the index of the first good with that good's vector
     first: dict[tuple, int] = {}
-    kind = {g.id: first.setdefault(vector, k)
-            for k, (g, vector) in enumerate(zip(goods, columns))}
+    kind = {gid: first.setdefault(vector, k) for k, (gid, vector) in enumerate(columns.items())}
     # exhausted[k]: the states at good k (a round's first) whose subtree
     # holds no witness, each with the decisions that subtree made
     exhausted: list[dict[tuple, int]] = [{} for _ in goods]
     nodes = 0
 
     def open_round(s: int) -> None:
-        """Make round s a prefix: round s - 1's plus the goods placed at s."""
-        held[s] = [bundle[:] for bundle in held[s - 1]]
+        """Give round s a worth state: round s - 1's plus the hand-outs at s."""
         if pick:
-            worth[s] = (worth[s - 1][0][:], worth[s - 1][1][:])
-        for j, k in landed[s]:
-            held[s][j].append(goods[k].id)
-            if pick:
-                fold(*worth[s], j, columns[k], pick)
+            total, removal = worth[s] = (worth[s - 1][0][:], worth[s - 1][1][:])
+            for j, g in landed[s]:
+                fold(total, removal, j, columns[g], pick)
 
     def final_ok(k: int, a: int) -> bool:
         """No violation at the rounds good k closes, opening each past a."""
@@ -165,16 +161,17 @@ def search(
             if s > a:
                 open_round(s)
             if landed[s] and prefix_violation(
-                    instance, held[s], concept, envy, worth[s]) is not None:
+                    instance, landed[:s + 1], concept, envy, worth[s]) is not None:
                 return False
         return True
 
     def state(a: int) -> tuple:
-        """What every verdict from round a on reads: the kinds each agent
-        holds by round a - 1, and the decided goods that land at a or later."""
-        return (tuple([tuple(sorted([kind[g] for g in bundle])) for bundle in held[a - 1]]),
-                tuple(sorted([(kind[goods[k].id], j, t) for t in range(a, horizon + 1)
-                              for j, k in landed[t]])))
+        """What every verdict from round a on reads: one (kind, bundle,
+        round) entry per hand-out, every round before a read as a - 1.  So
+        it gives the kinds each agent holds by round a - 1 and the decided
+        goods that land at a or later, with owner and round."""
+        return tuple(sorted([(kind[g], j, max(t, a - 1))
+                             for t, handouts in enumerate(landed) for j, g in handouts]))
 
     def descend(k: int) -> bool:
         nonlocal nodes
@@ -191,7 +188,7 @@ def search(
                     return False
             start = nodes
             open_round(a)
-        gid, column, closing = goods[k].id, columns[k], closes[k]
+        gid, closing = goods[k].id, closes[k]
         for t in windows[k]:
             seen_rows = set()
             for j in range(n):
@@ -201,30 +198,24 @@ def search(
                     seen_rows.add(rows[j])
                 nodes += 1
                 count[j] += 1
-                landed[t].append((j, k))
-                if t == a:
-                    held[a][j].append(gid)
-                    if pick:
-                        saved = worth[a]
-                        total, removal = worth[a] = (saved[0][:], saved[1][:])
-                        fold(total, removal, j, column, pick)
+                landed[t].append((j, gid))
+                if t == a and pick:
+                    saved = worth[a]
+                    total, removal = worth[a] = (saved[0][:], saved[1][:])
+                    fold(total, removal, j, columns[gid], pick)
                 if (not closing or final_ok(k, a)) and descend(k + 1):
                     return True
                 count[j] -= 1
                 landed[t].pop()
-                if t == a:
-                    held[a][j].pop()
-                    if pick:
-                        worth[a] = saved
+                if t == a and pick:
+                    worth[a] = saved
         if memo is not None:  # the state is as on entry again
             memo[key or state(a)] = nodes - start
         return False
 
-    if descend(0):
-        # the decisions stay in landed; read them back in good order
-        decided = sorted((k, j, t) for t, placed in enumerate(landed) for j, k in placed)
+    if descend(0):  # the decisions stay in landed
         witness = TemporalAllocation(
-            placement={goods[k].id: t for k, _, t in decided},
-            owner={goods[k].id: j + 1 for k, j, _ in decided})
+            placement={g: t for t, handouts in enumerate(landed) for _, g in handouts},
+            owner={g: j + 1 for handouts in landed for j, g in handouts})
         return SearchOutcome(True, witness, nodes, space_bound)
     return SearchOutcome(False, None, nodes, space_bound)

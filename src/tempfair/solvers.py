@@ -752,7 +752,6 @@ class SolverEntry:
     run: Callable
     summary: str
     concepts: Callable  # instance -> list[Concept]
-    uses_scheduling: bool = False  # moves goods past their arrival round
 
 
 def _fixed(*concepts):
@@ -814,7 +813,6 @@ SOLVERS: dict[str, SolverEntry] = {
             name="tef1-identical-days-scheduled",
             run=solve_tef1_identical_days_scheduled,
             summary="identical days, buffer >= ceil(n/2); envy-free up to one good, exact equality each block",
-            uses_scheduling=True,
             concepts=_fixed(Concept("tef1")),
         ),
         SolverEntry(
@@ -822,7 +820,6 @@ SOLVERS: dict[str, SolverEntry] = {
             run=solve_tefx_identical_days_scheduled_two,
             summary="2 agents, identical days, buffer >= 2; envy-free up to any good and maximin-share fair "
                     "when such an allocation exists (some odd horizons have none, and the solver then fails)",
-            uses_scheduling=True,
             concepts=_fixed(Concept("tefx"), Concept("tmms")),
         ),
     ]

@@ -124,7 +124,6 @@ def naive_classify(instance):
     return {
         "identical_days": all(d == days[0] for d in days[1:]),
         "generalized_binary": binary,
-        "generalized_binary_level": positive[0] if binary and positive else None,
         "bi_valued": bi_valued,
         "bi_valued_levels": (positive[0], positive[-1]) if bi_valued and positive else None,
         "identical_valuation": all(len(set(g.values)) == 1 for g in instance.goods),

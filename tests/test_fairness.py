@@ -601,28 +601,28 @@ def test_prefix_violation_dispatch():
     # worthless removal does not settle the up-to-any-good check
     values = {1: {"a": 1, "b": 0}, 2: {"a": 1, "b": 0}}
     inst = single_round_instance(values, ["a", "b"], 2)
-    packed = (frozenset({"g1", "g2"}), frozenset())
+    packed = [[(0, "g1"), (0, "g2")]]  # one round of (bundle index, good id) hand-outs
     assert prefix_violation(inst, packed, Concept("tef1")) is None
     assert prefix_violation(inst, packed, Concept("tefx")) is not None
     # equal positive goods split evenly: shares are met; hoarded: they fail
     even = single_round_instance({1: {"a": 1, "b": 1}, 2: {"a": 1, "b": 1}}, ["a", "b"], 2)
-    assert prefix_violation(even, (frozenset({"g1"}), frozenset({"g2"})), Concept("tmms")) is None
-    assert prefix_violation(even, (frozenset({"g1", "g2"}), frozenset()), Concept("tmms")) is not None
+    assert prefix_violation(even, [[(0, "g1")], [(1, "g2")]], Concept("tmms")) is None
+    assert prefix_violation(even, [[(0, "g1"), (0, "g2")]], Concept("tmms")) is not None
     # a worth state grown one good at a time gives the violation of one
-    # built from the bundles
+    # folded from the hand-outs
     rng = random.Random(41)
     concepts = [Concept("tef1"), Concept("tefx"), Concept("atefx", (F(1, 2), F(1), F(2, 3)))]
     seen = set()
     for _ in range(60):
         inst = make_instance([[tuple(rng.randint(0, 4) for _ in range(3)) for _ in range(5)]])
         owner = {g.id: rng.randint(1, 3) for g in inst.goods}
-        bundles = [[g for g in owner if owner[g] == i] for i in inst.agents]
+        rounds = [[(owner[g] - 1, g) for g in owner]]
         for concept in concepts:
             pick = REMOVAL[concept.kind]
-            worth = _worth(inst, [[], [], []], pick)
+            worth = _worth(inst, [], pick)
             for gid in rng.sample(sorted(owner), len(owner)):
                 fold(*worth, owner[gid] - 1, [row[gid] for row in inst.value_table.values()], pick)
-            built = prefix_violation(inst, bundles, concept)
-            assert prefix_violation(inst, bundles, concept, envy_rows(3, concept), worth) == built
+            built = prefix_violation(inst, rounds, concept)
+            assert prefix_violation(inst, rounds, concept, envy_rows(3, concept), worth) == built
             seen.add(built is None)
     assert seen == {True, False}

@@ -258,14 +258,12 @@ class TestClassify:
         inst = make_instance([[(0, 3), (3, 3)], [(3, 0)]])
         got = classify(inst)
         assert got.generalized_binary
-        assert got.generalized_binary_level == F(3)
         assert not got.bi_valued
 
     def test_all_zero_counts_as_binary(self):
         inst = make_instance([[(0, 0)]])
         got = classify(inst)
         assert got.generalized_binary
-        assert got.generalized_binary_level is None
 
     def test_two_positive_levels_not_binary(self):
         inst = make_instance([[(2, 3)]])

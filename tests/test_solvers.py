@@ -79,8 +79,26 @@ def test_registry_names():
     ]
     for entry in SOLVERS.values():
         assert entry.summary
-    scheduled = {n for n, e in SOLVERS.items() if e.uses_scheduling}
-    assert scheduled == {
+    # on seeded draws every solver succeeds somewhere, and only the two
+    # scheduled ones ever place a good after its arrival, each at least once
+    rng = random.Random(zlib.crc32(b"test_registry_names"))
+    solved, delayed = set(), set()
+    for _ in range(200):
+        flag = rng.choice(["identical_days", "generalized_binary", "bi_valued",
+                           "identical_valuation", "house_allocation"])
+        inst = generate(rng.randint(2, 3), rng.randint(2, 5), rng.randint(1, 3), 9,
+                        rng.randrange(10**6), buffer=rng.randint(1, 3), **{flag: True})
+        arrival = {g.id: g.arrival for g in inst.goods}
+        for name, entry in SOLVERS.items():
+            try:
+                alloc = entry.run(inst)
+            except (PreconditionError, SolverFailure):
+                continue
+            solved.add(name)
+            if any(t > arrival[g] for g, t in alloc.placement.items()):
+                delayed.add(name)
+    assert solved == set(SOLVERS)
+    assert delayed == {
         "tef1-identical-days-scheduled",
         "tefx-identical-days-scheduled-two",
     }
