@@ -20,7 +20,7 @@ from pathlib import Path
 import equivalence
 
 GOLDEN = Path(__file__).parent / "golden" / "equivalence.json"
-FIRST = 2000  # cases per family, about 3 s in all
+FIRST = 2000  # cases per family, about 4 s in all
 
 
 def corpus() -> dict:
