@@ -37,6 +37,7 @@ from .errors import ShareCapExceeded, ValidationError
 from .model import (
     TemporalAllocation,
     TemporalInstance,
+    _json_int,
     good_key,
     parse_rational,
     validate,
@@ -233,8 +234,9 @@ def mms_share(values: Sequence[int | Fraction], n_parts: int, cap: int | None = 
     (largest good into the lightest part), loading no part past what
     leaves the others above the best split so far.  Both stop once a
     split reaches floor(total / n_parts), which none can beat.
+    ``n_parts`` must be an int, not a bool or a float.
     """
-    if n_parts < 1:
+    if _json_int(n_parts, "n_parts") < 1:
         raise ValidationError("need at least one part")
     vals = [v if type(v) in (int, Fraction) else parse_rational(v) for v in values]
     if any(v < 0 for v in vals):
@@ -322,21 +324,67 @@ def _mms_share_search(vals: tuple[int, ...], n_parts: int) -> int:
     return best
 
 
-def _mms_violation(instance, rounds, cap=16):
+class _TwoShares:
+    """Two-part maximin shares of a growing pool, one per agent.
+
+    ``columns[i]`` lists agent i + 1's values of every good the pool will
+    ever hold.  Per agent: the GCD of that column, which divides every
+    prefix's values; the running total ``total[i]``; and the subset sums
+    reached, in GCD units, as a bitset truncated at half the final total
+    (Bellman's recursion, as in ``_mms_share_search``).  A share is the
+    highest set bit at or below half the current total, times the GCD.
+    Past the bitset width ``_mms_share_search`` allows, an agent keeps the
+    pool's values for ``_int_share`` instead.
+    """
+
+    def __init__(self, columns):
+        self.gcd = [math.gcd(*column) or 1 for column in columns]
+        self.total = [0] * len(columns)
+        self.reach, self.mask, self.pool = [], [], []
+        for column, gcd in zip(columns, self.gcd):
+            half = sum(column) // gcd // 2
+            wide = half >> 6 > 1 << sum(1 for v in column if v)
+            self.reach.append(1)
+            self.mask.append(None if wide else (2 << half) - 1)
+            self.pool.append([] if wide else None)
+
+    def add(self, column):
+        """Fold one good in, ``column[i]`` being agent i + 1's value of it."""
+        for i, v in enumerate(column):
+            self.total[i] += v
+            if self.pool[i] is not None:
+                self.pool[i].append(v)
+            elif v:
+                self.reach[i] |= (self.reach[i] << v // self.gcd[i]) & self.mask[i]
+
+    def share(self, i):
+        """Agent i + 1's two-part maximin share of the pool so far."""
+        if self.pool[i] is not None:
+            return _int_share(self.pool[i], 2, None)
+        half = self.total[i] // self.gcd[i] // 2
+        return ((self.reach[i] & ((2 << half) - 1)).bit_length() - 1) * self.gcd[i]
+
+
+def _mms_violation(instance, rounds, cap=16, state=None):
     """First agent whose bundle misses their maximin share over the pool of
     every hand-out in ``rounds``, as ``(agent, None, gap, 1)`` with the gap
-    in table integers.  One pass over the hand-outs gives the pool and each
-    agent's own total."""
-    tables = list(instance.value_table.values())
-    pool, have = [], [0] * instance.n_agents
-    for handouts in rounds:
-        for j, g in handouts:
-            pool.append(g)
-            have[j] += tables[j][g]
-    for i, row in enumerate(tables):
-        share = _int_share([row[g] for g in pool], instance.n_agents, cap)
-        if have[i] < share:
-            return (i + 1, None, share - have[i], 1)
+    in table integers.  ``state`` is ``(share, have)``: ``share(i)`` gives
+    agent i + 1's share and ``have`` the own totals.  Without it, or with
+    ``have`` None, one pass over the hand-outs gives the own totals and
+    the pool whose shares ``_int_share`` computes."""
+    share, have = state or (None, None)
+    if have is None:
+        tables = list(instance.value_table.values())
+        pool, have = [], [0] * instance.n_agents
+        for handouts in rounds:
+            for j, g in handouts:
+                pool.append(g)
+                have[j] += tables[j][g]
+        share = share or (lambda i: _int_share([tables[i][g] for g in pool], instance.n_agents, cap))
+    for i, mine in enumerate(have):
+        gap = share(i) - mine
+        if gap > 0:
+            return (i + 1, None, gap, 1)
     return None
 
 
@@ -354,13 +402,13 @@ def prefix_violation(instance, rounds, concept: Concept, rows=None, worth=None):
     The prefix is ``rounds``, its rounds of ``(bundle index j, good id)``
     hand-outs.  A violation is ``(envious, envied, gap, den)``, shortfall
     gap/(den*scale); a share-based one has no envied agent.  Callers that
-    examine many prefixes pass ``envy_rows`` once as ``rows`` and, for an
-    envy concept, the prefix's grown worth state ``(total, removal)`` as
-    ``worth``; without them both are read here, the state folded from
-    ``rounds``.
+    examine many prefixes pass ``envy_rows`` once as ``rows`` and the
+    prefix's grown state as ``worth``: ``(total, removal)`` for an envy
+    concept, ``_mms_violation``'s ``(share, have)`` for ``tmms``.  Without
+    them both are read here, the state from ``rounds``.
     """
     if concept.kind == "tmms":
-        return _mms_violation(instance, rounds)
+        return _mms_violation(instance, rounds, state=worth)
     rows = rows or envy_rows(instance.n_agents, concept)  # checks the alphas first
     return _envy_violation(*(worth or _worth(instance, rounds, REMOVAL[concept.kind])), rows)
 
@@ -375,11 +423,14 @@ def check_temporal(
     The allocation is validated first (ownership, placement windows).
     Returns the first failing round with a witness, or a holding verdict.
     ``landing[t]`` lists the hand-outs placed at round t; one sweep over
-    those rounds appends each to the prefix (and folds its goods into the
-    worth state) once.  Prefixes only change on rounds where something is
-    handed out, so only those are examined.  The removed good is found
-    once, at the witness: the smallest id, among the envied agent's
-    hand-outs, with the binding value.
+    those rounds appends each to the prefix once, and folds its goods into
+    the worth state of an envy concept or, under ``tmms`` with two agents,
+    into running own totals and a ``_TwoShares`` that grows each agent's
+    share (more agents get each prefix's shares from its pool).  Prefixes
+    only change on rounds where something is handed out, so only those
+    are examined.  The removed good is found once, at the witness: the
+    smallest id, among the envied agent's hand-outs, with the binding
+    value.
     """
     validate(instance, allocation)
     n = instance.n_agents
@@ -390,12 +441,22 @@ def check_temporal(
     for gid, t in allocation.placement.items():
         landing.setdefault(t, []).append((allocation.owner[gid] - 1, gid))
     rounds: list[list[tuple[int, str]]] = []
-    worth = _worth(instance, rounds, pick) if pick else None
+    worth = grown = None
+    if pick:
+        worth = _worth(instance, rounds, pick)
+    elif n == 2:
+        grown = _TwoShares([[row[g] for g in allocation.placement] for row in tables])
+        worth = (grown.share, [0, 0])
     for t in sorted(landing):
         rounds.append(landing[t])
         if pick:
             for j, gid in landing[t]:
                 fold(*worth, j, [row[gid] for row in tables], pick)
+        elif grown:
+            for j, gid in landing[t]:
+                column = [row[gid] for row in tables]
+                grown.add(column)
+                worth[1][j] += column[j]
         hit = prefix_violation(instance, rounds, concept, rows, worth)
         if hit is not None:
             envious, envied, gap, den = hit

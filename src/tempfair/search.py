@@ -15,10 +15,11 @@ subtree held no witness is skipped when the search meets it again.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import prod
 
 from .errors import SearchCapExceeded
-from .fairness import REMOVAL, Concept, _worth, envy_rows, fold, prefix_violation
+from .fairness import REMOVAL, Concept, _int_share, _worth, envy_rows, fold, prefix_violation
 from .model import TemporalAllocation, TemporalInstance, allocation_to_json, good_key
 
 
@@ -84,6 +85,8 @@ def search(
     decision is a hand-out ``(bundle index, good id)`` listed under its
     placement round, and backtracking pops it; the prefix at round t is
     the hand-outs of rounds 1..t, which the share test reads directly.
+    Without scheduling that pool is every good arriving by t, so each
+    agent's share of it is computed at most once per call.
     For an envy concept, rounds up to the open round (the arrival round of
     the good being decided) also hold a worth state (``fairness._worth``).
     A good placed at the open round is folded into a copy of its state,
@@ -139,6 +142,14 @@ def search(
     envy = envy_rows(n, concept) if pick else None
     # one empty state for every round: each fold goes into a fresh copy
     worth = [_worth(instance, [], pick) if pick else None] * (horizon + 1)
+    if concept.kind == "tmms" and not use_scheduling:
+        # round s's pool is every good arriving by s, whoever holds it, so
+        # each agent's share of it is computed once, when first asked
+        def shares(s: int):
+            arrived = sum(1 for g in goods if g.arrival <= s)
+            return cache(lambda i: _int_share(rows[i][:arrived], n, 16))
+
+        worth = [(shares(s), None) for s in range(horizon + 1)]
     # goods with one value vector are interchangeable in every verdict:
     # kind[id] is the index of the first good with that good's vector
     first: dict[tuple, int] = {}

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import PreconditionError, SolverFailure
-from .fairness import Concept, _envy_violation, _int_share, envy_rows, fold
+from .fairness import Concept, _TwoShares, _envy_violation, _int_share, envy_rows, fold
 from .model import (
     TemporalAllocation,
     TemporalInstance,
@@ -550,14 +550,27 @@ def _placed_bounds(instance):
     """``bounds(t, waiting)``: both agents' totals and two-part maximin
     shares of the goods placed by round t of a two-agent identical-days
     instance, memoized.  ``waiting[k]`` counts the arrived copies of the
-    k-th day vector, in sorted order, that are not placed yet."""
+    k-th day vector, in sorted order, that are not placed yet.  With
+    nothing waiting, a round past every one asked before grows one
+    ``fairness._TwoShares`` by the days in between, so a walk along the
+    pool rounds folds each day in once; other entries use their own pool."""
     day = _by_vector(instance, instance.rounds[0])
     vecs = sorted(day)
+    copies = [v for v in vecs for _ in day[v]]  # one day's value vectors
+    idle = (0,) * len(vecs)
+    grown = _TwoShares([[v[a] for v in copies] * instance.horizon for a in (0, 1)])
     memo: dict[tuple, tuple] = {}
+    reached = 0  # the days folded into grown
 
     def bounds(t, waiting):
+        nonlocal reached
         key = (t, waiting)
-        if key not in memo:
+        if key not in memo and waiting == idle and t > reached:
+            for v in copies * (t - reached):
+                grown.add(v)
+            reached = t
+            memo[key] = (tuple(grown.total), (grown.share(0), grown.share(1)))
+        elif key not in memo:
             placed = [v for v, w in zip(vecs, waiting)
                       for _ in range(len(day[v]) * t - w)]
             columns = ([v[0] for v in placed], [v[1] for v in placed])

@@ -225,6 +225,15 @@ class TestMmsShare:
     def test_fewer_goods_than_parts(self):
         assert mms_share([F(9)], 3) == F(0)
 
+    def test_bool_part_count_rejected(self):
+        # True is an int equal to 1, so it would read as one part
+        with pytest.raises(ValidationError, match="n_parts must be an integer, got True"):
+            mms_share([1, 2], True)
+
+    def test_float_part_count_rejected(self):
+        with pytest.raises(ValidationError, match="n_parts must be an integer, got 2.0"):
+            mms_share([1, 2], 2.0)
+
     def test_three_parts_example(self):
         # 3+3, 2+4, 1+5: perfect split of 1..5 plus a 3 into thirds of 6
         assert mms_share([F(v) for v in (1, 2, 3, 3, 4, 5)], 3) == F(6)
