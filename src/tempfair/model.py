@@ -54,6 +54,8 @@ def parse_rational(text) -> Fraction:
     if isinstance(text, str):
         if "e" in text or "E" in text:
             raise ValidationError(f"exponent notation rejected: {text!r}")
+        if "_" in text:  # Fraction(str) takes PEP 515 underscores from 3.11 on
+            raise ValidationError(f"bad rational literal {text!r}")
         try:
             return Fraction(text.strip())
         except (ValueError, ZeroDivisionError) as exc:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, Sequence
 
 from .errors import PreconditionError, SolverFailure
@@ -151,8 +152,11 @@ def solve_tef1_house_t3(instance: TemporalInstance, trace=None) -> TemporalAlloc
 
 # --- generalized binary ------------------------------------------------------
 
-def _support(instance, gid):
-    return tuple(i for i, row in instance.value_table.items() if row[gid] > 0)
+def _supports(instance):
+    """Each good's agents with a positive value, by good id in arrival order."""
+    rows = instance.value_table.items()
+    return {g: tuple(i for i, row in rows if row[g] > 0)
+            for round_ids in instance.rounds for g in round_ids}
 
 
 def solve_tefx_genbinary_two(instance: TemporalInstance, trace=None) -> TemporalAllocation:
@@ -166,10 +170,11 @@ def solve_tefx_genbinary_two(instance: TemporalInstance, trace=None) -> Temporal
     _require(instance.n_agents == 2, "needs exactly two agents")
     _require(setting.generalized_binary, "needs all values in {0, b}")
 
+    supports = _supports(instance)
     first_exclusive = {1: instance.horizon + 1, 2: instance.horizon + 1}
     for t, round_ids in enumerate(instance.rounds, start=1):
         for gid in round_ids:
-            support = _support(instance, gid)
+            support = supports[gid]
             if len(support) == 1 and first_exclusive[support[0]] > t:
                 first_exclusive[support[0]] = t
     # start shared goods with whoever waits longer for an exclusive
@@ -177,17 +182,15 @@ def solve_tefx_genbinary_two(instance: TemporalInstance, trace=None) -> Temporal
     laggard = 3 - j
 
     owner = {}
-    for round_ids in instance.rounds:
-        for gid in round_ids:
-            support = _support(instance, gid)
-            if len(support) == 1:
-                owner[gid] = support[0]
-            elif len(support) == 2:
-                owner[gid] = j
-                j = 3 - j
-            else:
-                owner[gid] = laggard
-            _record(trace, owner[gid], gid, "binary-split")
+    for gid, support in supports.items():
+        if len(support) == 1:
+            owner[gid] = support[0]
+        elif len(support) == 2:
+            owner[gid] = j
+            j = 3 - j
+        else:
+            owner[gid] = laggard
+        _record(trace, owner[gid], gid, "binary-split")
     return _allocation(instance, owner)
 
 
@@ -215,59 +218,64 @@ def solve_half_tefx_genbinary(instance: TemporalInstance, trace=None) -> Tempora
     ``_first_plan`` walks the goods, one stage per good and no depth
     limit; the state is the worth state of ``fold`` in units of b, its
     lists as tuples, with the cheapest good as each bundle's removal (1,
-    above every unit, while the bundle is empty).
+    above every unit, while the bundle is empty).  A stage holds only its
+    try order and the state it was entered with; ``step`` folds each try
+    and checks the round end in scratch lists that die before the yield.
     """
     setting = classify(instance)
     _require(setting.generalized_binary, "needs all values in {0, b}")
     agents = list(instance.agents)
     n = instance.n_agents
-    order: list[str] = []
-    round_end = set()  # index into order of each round's last good
-    for round_ids in instance.rounds:
-        order.extend(round_ids)
-        if round_ids:
-            round_end.add(len(order) - 1)
-    positive_for = {
-        g: frozenset(_support(instance, g)) for g in order
-    }
-    # every agent's value of the k-th good in units of b
-    units = [[int(i in positive_for[g]) for i in agents] for g in order]
-    # future supply of wanted goods per agent, excluding the current good
+    supports = _supports(instance)
+    support = list(supports.values())
+    # each round's last good, as its index in arrival order
+    round_end = {k - 1 for k in accumulate(map(len, instance.rounds))}
+    # per good, as tuples: its wanting agents and each agent's supply of
+    # wanted goods after it; per support, its column in units of b
+    unit = {s: tuple(int(i in s) for i in agents) for s in set(support)}
     supply_after = []
-    running = {i: 0 for i in agents}
-    for g in reversed(order):
-        supply_after.append(dict(running))
-        for i in positive_for[g]:
-            running[i] += 1
+    running = [0] * n
+    for s in reversed(support):
+        supply_after.append(tuple(running))
+        for i in s:
+            running[i - 1] += 1
     supply_after.reverse()
     half = envy_rows(n, Concept("atefx", Fraction(1, 2)))
+
+    def tries(k, worth):
+        """Good k's receivers in the order to try them."""
+        own = worth[0][::n + 1]  # the diagonal
+        if support[k]:
+            hungry = sorted((i for i in support[k] if own[i - 1] == 0),
+                            key=lambda i: (supply_after[k][i - 1], i))
+            fed = sorted((i for i in support[k] if own[i - 1] > 0),
+                         key=lambda i: (own[i - 1], i))
+            return hungry + fed + [i for i in agents if i not in support[k]]
+        return sorted(agents, key=lambda i: (own[i - 1] != 0, -i))
+
+    def step(k, worth, r):
+        """The worth state after good k goes to r, or None when it fails
+        its round-end check."""
+        total, removal = list(worth[0]), list(worth[1])
+        fold(total, removal, r - 1, unit[support[k]], min)
+        if k in round_end and _envy_violation(total, removal, half) is not None:
+            return None
+        return tuple(total), tuple(removal)
 
     def moves(k, worth):
         """Each receiver of good k that passes its round-end check, with
         the worth state after it."""
-        support = positive_for[order[k]]
-        own = worth[0][::n + 1]  # the diagonal
-        if support:
-            hungry = sorted((i for i in support if own[i - 1] == 0),
-                            key=lambda i: (supply_after[k][i], i))
-            fed = sorted((i for i in support if own[i - 1] > 0),
-                         key=lambda i: (own[i - 1], i))
-            tries = hungry + fed + [i for i in agents if i not in support]
-        else:
-            tries = sorted(agents, key=lambda i: (own[i - 1] != 0, -i))
-        for r in tries:
-            total, removal = list(worth[0]), list(worth[1])
-            fold(total, removal, r - 1, units[k], min)
-            if k not in round_end or _envy_violation(total, removal, half) is None:
-                yield r, (tuple(total), tuple(removal))
+        for r in tries(k, worth):
+            if (after := step(k, worth, r)) is not None:
+                yield r, after
 
-    picks = _first_plan(len(order), moves, ((0,) * (n * n), (1,) * (n * n)))
+    picks = _first_plan(len(support), moves, ((0,) * (n * n), (1,) * (n * n)))
     if picks is None:
         raise SolverFailure(
             "no routing keeps every prefix half-envy-free up to any good"
         )
-    owner = dict(zip(order, picks))
-    for g in order:
+    owner = dict(zip(supports, picks))
+    for g in supports:
         _record(trace, owner[g], g, "half-route")
     return _allocation(instance, owner)
 

@@ -424,6 +424,9 @@ def test_loaders_reject_malformed_shapes(load, data):
     ("1e3", "exponent notation rejected: '1e3'"),
     ("2/0", "bad rational literal '2/0'"),
     ("x", "bad rational literal 'x'"),
+    # PEP 515 underscores: Fraction(str) takes them from 3.11 on, 3.10 not
+    ("1_000", "bad rational literal '1_000'"),
+    ("1_0/2_0", "bad rational literal '1_0/2_0'"),
 ])
 def test_loaders_keep_literal_messages(literal, message):
     for load, data in [
