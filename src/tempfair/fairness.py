@@ -1,7 +1,7 @@
 """Fairness checkers, both on fixed bundles and round by round.
 
 All comparisons are exact: they sum the integers of the instance's
-``value_table`` (each value times the instance's ``scale``), and only a
+``columns`` (each value times the instance's ``scale``), and only a
 witness's shortfall turns back into a Fraction, divided by ``scale``.  The
 temporal variants demand the property at every prefix: the goods handed
 out in rounds 1..t, for each t up to the horizon.  A prefix is recorded
@@ -148,27 +148,33 @@ def fold(total, removal, j, column, pick):
 
 
 def _worth(instance, rounds, pick):
-    """The worth state of rounds of hand-outs, each folded once: lists
-    ``total`` and ``removal`` of n * n ints, entry i * n + j for agent
-    i + 1's view of bundle j + 1.  An empty bundle's removal, a sentinel the
-    first fold replaces (0 under max, the top value under min), keeps
-    total - removal <= 0."""
-    n, tables = instance.n_agents, instance.value_table.values()
-    top = 0 if pick is max else max((v for row in tables for v in row.values()), default=0)
+    """The worth state of rounds of hand-outs, each good's column of
+    ``instance.columns`` folded once: lists ``total`` and ``removal`` of
+    n * n ints, entry i * n + j for agent i + 1's view of bundle j + 1.  An
+    empty bundle's removal, a sentinel the first fold replaces (0 under
+    max, the top value under min), keeps total - removal <= 0."""
+    n, columns = instance.n_agents, instance.columns
+    top = 0 if pick is max else max(map(max, columns.values()), default=0)
     total, removal = [0] * (n * n), [top] * (n * n)
     for handouts in rounds:
         for j, g in handouts:
-            fold(total, removal, j, [row[g] for row in tables], pick)
+            fold(total, removal, j, columns[g], pick)
     return total, removal
 
 
 def _per_agent(instance, bundles):
     """Fixed bundles as one round of hand-outs, after checking there is one
-    per agent."""
+    per agent and that they list goods of the instance, each once."""
     bundles = list(bundles)
     if len(bundles) != instance.n_agents:
         raise ValidationError(f"{len(bundles)} bundles for {instance.n_agents} agents")
-    return [[(j, g) for j, bundle in enumerate(bundles) for g in bundle]]
+    handouts = [(j, g) for j, bundle in enumerate(bundles) for g in bundle]
+    seen = set()
+    for _, g in handouts:
+        if g in seen or g not in instance.columns:
+            raise ValidationError(f"{'repeated' if g in seen else 'unknown'} good {g!r} in bundles")
+        seen.add(g)
+    return [handouts]
 
 
 def envy_rows(n, concept: Concept):
@@ -374,13 +380,12 @@ def _mms_violation(instance, rounds, cap=16, state=None):
     the pool whose shares ``_int_share`` computes."""
     share, have = state or (None, None)
     if have is None:
-        tables = list(instance.value_table.values())
         pool, have = [], [0] * instance.n_agents
         for handouts in rounds:
             for j, g in handouts:
-                pool.append(g)
-                have[j] += tables[j][g]
-        share = share or (lambda i: _int_share([tables[i][g] for g in pool], instance.n_agents, cap))
+                pool.append(column := instance.columns[g])
+                have[j] += column[j]
+        share = share or (lambda i: _int_share([c[i] for c in pool], instance.n_agents, cap))
     for i, mine in enumerate(have):
         gap = share(i) - mine
         if gap > 0:
@@ -420,23 +425,23 @@ def check_temporal(
 ) -> Verdict:
     """Check a fairness concept at every round prefix of an allocation.
 
-    The allocation is validated first (ownership, placement windows).
-    Returns the first failing round with a witness, or a holding verdict.
-    ``landing[t]`` lists the hand-outs placed at round t; one sweep over
-    those rounds appends each to the prefix once, and folds its goods into
-    the worth state of an envy concept or, under ``tmms`` with two agents,
-    into running own totals and a ``_TwoShares`` that grows each agent's
-    share (more agents get each prefix's shares from its pool).  Prefixes
-    only change on rounds where something is handed out, so only those
-    are examined.  The removed good is found once, at the witness: the
-    smallest id, among the envied agent's hand-outs, with the binding
-    value.
+    The allocation is validated first (ownership, placement windows), so
+    it places every good.  Returns the first failing round with a witness,
+    or a holding verdict.  ``landing[t]`` lists the hand-outs placed at
+    round t; one sweep over those rounds appends each to the prefix once,
+    and folds its goods into the worth state of an envy concept or, under
+    ``tmms`` with two agents, into running own totals and a ``_TwoShares``
+    over every good that grows each agent's share (more agents get each
+    prefix's shares from its pool).  Prefixes only change on rounds where
+    something is handed out, so only those are examined.  The removed good
+    is found once, at the witness: the smallest id, among the envied
+    agent's hand-outs, with the binding value.
     """
     validate(instance, allocation)
     n = instance.n_agents
     pick = REMOVAL.get(concept.kind)
     rows = envy_rows(n, concept) if pick else None
-    tables = list(instance.value_table.values())
+    columns = instance.columns
     landing: dict[int, list[tuple[int, str]]] = {}
     for gid, t in allocation.placement.items():
         landing.setdefault(t, []).append((allocation.owner[gid] - 1, gid))
@@ -445,24 +450,23 @@ def check_temporal(
     if pick:
         worth = _worth(instance, rounds, pick)
     elif n == 2:
-        grown = _TwoShares([[row[g] for g in allocation.placement] for row in tables])
+        grown = _TwoShares(list(zip(*columns.values())))
         worth = (grown.share, [0, 0])
     for t in sorted(landing):
         rounds.append(landing[t])
         if pick:
             for j, gid in landing[t]:
-                fold(*worth, j, [row[gid] for row in tables], pick)
+                fold(*worth, j, columns[gid], pick)
         elif grown:
             for j, gid in landing[t]:
-                column = [row[gid] for row in tables]
-                grown.add(column)
-                worth[1][j] += column[j]
+                grown.add(columns[gid])
+                worth[1][j] += columns[gid][j]
         hit = prefix_violation(instance, rounds, concept, rows, worth)
         if hit is not None:
             envious, envied, gap, den = hit
             removed = None if envied is None else min(
                 (g for handouts in rounds for j, g in handouts if j == envied - 1
-                 and tables[envious - 1][g] == worth[1][(envious - 1) * n + envied - 1]),
+                 and columns[g][envious - 1] == worth[1][(envious - 1) * n + envied - 1]),
                 key=good_key)
             return Verdict(holds=False, round=t, envious=envious, envied=envied,
                            removed_good=removed, shortfall=Fraction(gap, den * instance.scale))

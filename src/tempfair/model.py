@@ -4,11 +4,11 @@ Goods arrive over a horizon of ``T`` rounds.  Every good carries one value
 per agent: an exact Fraction at the boundary (floats and bools are
 rejected wherever values enter), and inside an integer, that value times
 the instance's ``scale``, the LCM of all value denominators.  Every layer
-sums and compares the integers of ``value_table``, ``classify`` included.
-A load parses each distinct string literal once, with ``parse_rational``,
-and builds the table on integers alone.  An allocation maps
-each good to the round it is actually handed out (its placement, at most
-``buffer - 1`` rounds after arrival) and to the agent who owns it.
+sums and compares the integers of ``columns``, one tuple per good in agent
+order, ``classify`` included; ``value_table`` is their agent-major view.
+A load parses each distinct literal once, with ``parse_rational``.  An
+allocation maps each good to the round it is handed out (its placement,
+at most ``buffer - 1`` rounds after arrival) and to the agent who owns it.
 
 Agents are indexed 1..n in the public API.  Internally bundles are kept as
 tuples indexed 0..n-1; helpers here do the translation.
@@ -157,17 +157,18 @@ class TemporalInstance:
         return math.lcm(*(v.denominator for g in self.goods for v in g.values))
 
     @cached_property
-    def value_table(self) -> dict[int, dict[str, int]]:
-        """Each value times ``scale``, an exact integer, keyed by 1-based
-        agent then good id.  The one value lookup of every layer."""
+    def columns(self) -> dict[str, tuple[int, ...]]:
+        """The integer table: good id, in instance order, to its values times
+        ``scale`` in agent order, cut ``n_agents`` at a time from one pass."""
         scale = self.scale
-        return {
-            i: {
-                g.id: (v := g.values[i - 1]).numerator * (scale // v.denominator)
-                for g in self.goods
-            }
-            for i in self.agents
-        }
+        ints = iter([v.numerator * (scale // v.denominator) for g in self.goods for v in g.values])
+        return dict(zip((g.id for g in self.goods), zip(*[ints] * self.n_agents)))
+
+    @cached_property
+    def value_table(self) -> dict[int, dict[str, int]]:
+        """The agent-major view of ``columns``, keyed by 1-based agent then
+        good id, for the routines that read ``values[i][g]``."""
+        return {i: {g: column[i - 1] for g, column in self.columns.items()} for i in self.agents}
 
     @classmethod
     def from_value_rounds(
@@ -298,21 +299,19 @@ class SettingClass:
 def classify(instance: TemporalInstance) -> SettingClass:
     """Detect which structured classes an instance falls into.
 
-    Reads the integer ``value_table``: ``scale > 0`` is a common factor of
+    Reads the integer ``columns``: ``scale > 0`` is a common factor of
     every entry, so equality and order are those of the values, and the
     levels are returned as ``Fraction(level, scale)``.  Identical days
     compares the multiset of value vectors round by round.  House shape
     means exactly n goods arrive each round.
     """
-    rows = list(instance.value_table.values())
-    # each row lists the goods in instance order, so zip gives per-good vectors
-    vector = dict(zip((g.id for g in instance.goods), zip(*(r.values() for r in rows))))
+    columns = instance.columns
     day_multisets = [
-        sorted(vector[gid] for gid in round_ids) for round_ids in instance.rounds
+        sorted(columns[gid] for gid in round_ids) for round_ids in instance.rounds
     ]
     identical_days = all(m == day_multisets[0] for m in day_multisets[1:])
 
-    distinct = set().union(*(r.values() for r in rows))
+    distinct = set().union(*columns.values())
     positive = sorted(v for v in distinct if v > 0)
     gen_binary = len(positive) <= 1
     bi_valued = 0 not in distinct and len(distinct) >= 1 and len(positive) <= 2
@@ -321,8 +320,8 @@ def classify(instance: TemporalInstance) -> SettingClass:
     else:
         levels = None
 
-    # every good values the same for all agents exactly when the rows match
-    identical_valuation = all(r == rows[0] for r in rows[1:])
+    # every agent values each good alike: one distinct value per column
+    identical_valuation = all(len(set(column)) == 1 for column in columns.values())
     house = all(
         len(round_ids) == instance.n_agents for round_ids in instance.rounds
     )

@@ -130,9 +130,8 @@ def search(
         for k, g in enumerate(goods)
     ]
 
-    rows = [tuple(row[g.id] for g in goods) for row in instance.value_table.values()]
-    # columns[id]: every agent's value of the good
-    columns = dict(zip((g.id for g in goods), zip(*rows)))
+    columns = instance.columns
+    rows = list(zip(*(columns[g.id] for g in goods)))  # agent by agent, in search order
     # landed[t]: the (bundle j, good id) hand-outs placed at round t;
     # count[j]: agent j + 1's good count.  For an envy concept, worth[s] is
     # the worth state of round s, for rounds up to the open round.
@@ -153,7 +152,7 @@ def search(
     # goods with one value vector are interchangeable in every verdict:
     # kind[id] is the index of the first good with that good's vector
     first: dict[tuple, int] = {}
-    kind = {gid: first.setdefault(vector, k) for k, (gid, vector) in enumerate(columns.items())}
+    kind = {g.id: first.setdefault(columns[g.id], k) for k, g in enumerate(goods)}
     # exhausted[k]: the states at good k (a round's first) whose subtree
     # holds no witness, each with the decisions that subtree made
     exhausted: list[dict[tuple, int]] = [{} for _ in goods]

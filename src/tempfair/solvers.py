@@ -61,10 +61,9 @@ def _hand_out(bundles: dict[int, list[str]], owner, placement=None, at=None) -> 
 def _by_vector(instance, day_ids: Sequence[str]) -> dict[tuple, list[str]]:
     """Goods of one day grouped by their integer value vector (one table
     entry per agent), each group in id order."""
-    table = instance.value_table.values()
     groups: dict[tuple, list[str]] = {}
     for gid in sorted(day_ids, key=good_key):
-        groups.setdefault(tuple(row[gid] for row in table), []).append(gid)
+        groups.setdefault(instance.columns[gid], []).append(gid)
     return groups
 
 
@@ -154,8 +153,7 @@ def solve_tef1_house_t3(instance: TemporalInstance, trace=None) -> TemporalAlloc
 
 def _supports(instance):
     """Each good's agents with a positive value, by good id in arrival order."""
-    rows = instance.value_table.items()
-    return {g: tuple(i for i, row in rows if row[g] > 0)
+    return {g: tuple(i for i, v in enumerate(instance.columns[g], 1) if v > 0)
             for round_ids in instance.rounds for g in round_ids}
 
 
@@ -295,8 +293,7 @@ def solve_alpha_tefx_positive(instance: TemporalInstance, trace=None) -> Tempora
     leave someone empty-handed in that round and sink the ratio, so they
     are refused.
     """
-    rows = instance.value_table.values()
-    _require(all(v > 0 for row in rows for v in row.values()),
+    _require(all(min(column) > 0 for column in instance.columns.values()),
              "needs strictly positive values")
     for t, round_ids in enumerate(instance.rounds, start=1):
         _require(
@@ -371,7 +368,7 @@ def _least_total_first(instance):
     owner = {}
     for round_ids in instance.rounds:
         for gid in round_ids:
-            v = instance.value_table[1][gid]
+            v = instance.columns[gid][0]
             if v > 0:
                 receiver = min(instance.agents, key=lambda i: (totals[i], i))
                 totals[receiver] += v
@@ -383,11 +380,11 @@ def _least_total_first(instance):
 
 def alpha_identical_bound(instance: TemporalInstance) -> Fraction:
     """Certified ratio min+ / (max + min+); 1 when nothing has value."""
-    column = instance.value_table[1].values()
-    positives = [v for v in column if v > 0]
+    shared = [column[0] for column in instance.columns.values()]  # agent 1's, shared by all
+    positives = [v for v in shared if v > 0]
     if not positives:
         return Fraction(1)
-    top, low = max(column), min(positives)
+    top, low = max(shared), min(positives)
     return Fraction(low, top + low)
 
 

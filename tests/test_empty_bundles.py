@@ -7,8 +7,10 @@ prefix by prefix, and ``search`` existence, with ``naive_ef1``,
 ``naive_efx`` and ``naive_alpha_efx``: all-zero tables, zero-valued goods
 in an envied bundle, one agent, the two-agent split test with one pile
 still empty, per-agent alphas, and rational twins, where only the
-shortfall scales.  With many agents and two goods almost every bundle is
-empty, and the envy check's memory stays near its n * n worth state.
+shortfall scales.  An instance with no goods at all has empty value
+columns; it classifies, checks and searches like any other.  With many
+agents and two goods almost every bundle is empty, and the envy check's
+memory stays near its n * n worth state.
 """
 
 import itertools
@@ -17,7 +19,9 @@ import tracemalloc
 from dataclasses import replace
 from fractions import Fraction as F
 
-from tempfair import Concept, TemporalAllocation, TemporalInstance, check_temporal, search
+from tempfair import (
+    Concept, TemporalAllocation, TemporalInstance, check_temporal, classify, instance_from_json, search,
+)
 from tempfair.solvers import _split_ok
 
 from oracles import naive_alpha_efx, naive_ef1, naive_efx, naive_mms_share, values_of
@@ -84,6 +88,20 @@ def test_all_zero_tables():
         for scheduled in (False, True):
             outcomes = assert_matches_oracles(inst, scheduled=scheduled)
             assert all(seen == {True} for seen in outcomes.values())
+
+
+def test_no_goods():
+    # one empty round: the column map is empty and every fold reads nothing
+    inst = instance_from_json({"agents": 2, "rounds": [[]], "values": {}})
+    assert classify(inst).flags() == {
+        "identical_days": True, "generalized_binary": True, "bi_valued": False,
+        "identical_valuation": True, "house_allocation": False,
+    }
+    for text in ("tef1", "tefx", "atefx:1/2", "tmms"):
+        concept = Concept.from_string(text)
+        assert check_temporal(inst, TemporalAllocation({}, {}), concept).holds
+        outcome = search(inst, concept)
+        assert (outcome.exists, outcome.nodes_visited, outcome.space_bound) == (True, 0, 1)
 
 
 def test_zero_valued_goods_in_envied_bundle():

@@ -30,6 +30,7 @@ from tempfair.fairness import (
     mms_share,
     prefix_violation,
 )
+from tempfair.generators import generate
 from tempfair.model import (
     TemporalAllocation,
     TemporalInstance,
@@ -209,6 +210,23 @@ def test_checkers_reject_a_wrong_bundle_count(checker, bundles):
     # indexed past the agents, and a missing one is not read as empty
     inst = make_instance([[(1, 1), (5, 5), (1, 1)]])
     with pytest.raises(ValidationError, match=f"{len(bundles)} bundles for 2 agents"):
+        checker(inst, bundles)
+
+
+@FIXED_CHECKERS
+@pytest.mark.parametrize(
+    "bundles,message",
+    [([["zz"], [], []], "unknown good 'zz'"),
+     ([["g1"], ["g1"], []], "repeated good 'g1'"),
+     ([["g1", "g1"], [], []], "repeated good 'g1'")],
+    ids=["unknown", "in-two-bundles", "twice-in-one"],
+)
+def test_checkers_reject_bundles_that_are_no_division(checker, bundles, message):
+    # as validate does for an allocation: an id the instance lacks is not a
+    # bare KeyError, and a good listed twice is not counted twice (nor put
+    # twice into is_mms's pool)
+    inst = generate(3, 2, 4, 9, seed=1)
+    with pytest.raises(ValidationError, match=message):
         checker(inst, bundles)
 
 

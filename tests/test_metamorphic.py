@@ -14,7 +14,8 @@ and compares every layer's output before and after:
 * instance and allocation JSON round-trip exactly.
 
 One more property draws values with large prime denominators: the integer
-``value_table`` and ``classify`` agree with their Fraction references.
+``columns``, ``value_table`` and ``classify`` agree with their Fraction
+references.
 """
 
 import dataclasses
@@ -287,4 +288,5 @@ def test_integer_table_and_classify_match_fraction_references(inst):
     assert inst.value_table == {
         i: {g.id: int(g.values[i - 1] * scale) for g in inst.goods} for i in inst.agents
     }
+    assert inst.columns == {g.id: tuple(int(v * scale) for v in g.values) for g in inst.goods}
     assert dataclasses.asdict(classify(inst)) == naive_classify(inst)

@@ -81,6 +81,9 @@ class TestInstanceConstruction:
         assert inst.value_table == {1: {"g1": 3, "g2": 18}, 2: {"g1": 2, "g2": 3}}
         rows = inst.value_table.values()
         assert all(type(v) is int for row in rows for v in row.values())
+        # the table itself: one tuple per good, in agent order
+        assert inst.columns == {"g1": (3, 2), "g2": (18, 3)}
+        assert all(type(v) is int for column in inst.columns.values() for v in column)
 
     def test_agents_are_one_based(self):
         inst = make_instance([[(1, 2, 3)]])
