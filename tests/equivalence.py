@@ -1,11 +1,14 @@
-"""Digest what the single-round routines, the solvers, ``search`` and
-``check_temporal`` output, one line per case, to show that two source
-trees behave the same.
+"""Digest what the loaders, the single-round routines, the solvers,
+``search`` and ``check_temporal`` output, one line per case, to show that
+two source trees behave the same.
 
     PYTHONPATH=src python tests/equivalence.py > digests.txt
     python tests/equivalence.py --compare OLD/src NEW/src
 
 Each line is a stable case id and the SHA-256 of the case's output:
+every field and table of the instance ``instance_from_json`` or
+``from_value_rounds`` builds from a seeded document with 0-3 mutations,
+or the allocation ``allocation_from_json`` reads and ``validate`` passes;
 bundles (in the routine's agent order) and trace for ``round_robin``,
 ``envy_cycle_elimination`` and ``envy_ordered_pick_rounds``; allocation
 JSON and trace for every registered solver on seeded ``generate`` draws;
@@ -33,6 +36,7 @@ import zlib
 from functools import lru_cache
 
 ROUTINES = ("round_robin", "envy_cycle_elimination", "envy_ordered_pick_rounds")
+LOADER_DRAWS = 6000
 SEARCH_DRAWS = 600  # ten searches each
 CHECK_DRAWS = 1000  # draws whose allocations are checked under every concept
 
@@ -202,10 +206,140 @@ def _solve(name: str, k: int):
     return {"allocation": allocation_to_json(alloc), "trace": trace}
 
 
+# literals that parse, with spellings of one value, and literals that do not
+LITERALS = ("x", "2/0", "1e3", "1_000", "-3", "-0", "0.5", " 7/2 ", "3/6", "+2", "1/-2", "")
+BAD_VALUES = (True, False, 1.5, None, [1], {"a": "1"})
+# a bad literal ahead of a vector that is no list: the first error in document order
+PINNED = {"agents": 2, "rounds": [["g1", "g2"]], "values": {"g1": ["1", "x"], "g2": "nolist"}}
+
+
+def _mutate(rng, data: dict) -> None:
+    """One mutation of an instance document, in place: a bad literal or
+    value, a vector that is no list, missing, too short or too long, an
+    orphan vector, a repeated or non-string id, a round that is no list,
+    a bad ``agents`` or ``buffer``, or a missing or empty field."""
+    rounds, values = data.get("rounds", []), data.get("values", {})
+    lists = [r for r in rounds if isinstance(r, list)]
+    vectors = [v for v in values.values() if isinstance(v, list) and v]
+    kind = rng.randrange(12)
+    if kind < 2 and vectors:
+        vec = rng.choice(vectors)
+        vec[rng.randrange(len(vec))] = rng.choice(BAD_VALUES if kind else LITERALS)
+    elif kind == 2 and values:
+        values[rng.choice(list(values))] = rng.choice(["12", 5, None, {"g1": "1"}])
+    elif kind == 3 and values:
+        del values[rng.choice(list(values))]
+    elif kind == 4 and vectors:
+        vec = rng.choice(vectors)
+        vec.pop() if rng.random() < 0.5 else vec.append(rng.choice(["1", 2]))
+    elif kind == 5:
+        values[f"z{rng.randrange(3)}"] = ["1"] * rng.randint(1, 4)
+    elif kind == 6 and lists:
+        ids = [g for r in lists for g in r]
+        if ids:
+            target = rng.choice(lists)
+            target.insert(rng.randrange(len(target) + 1), rng.choice(ids))
+    elif kind == 7 and any(lists):
+        target = rng.choice([r for r in lists if r])
+        target[rng.randrange(len(target))] = rng.choice([1, None, True, ["g1"]])
+    elif kind == 8 and rounds:
+        rounds[rng.randrange(len(rounds))] = rng.choice(["g1", 3, None, {"g1": 1}])
+    elif kind == 9:
+        n = data.get("agents")
+        data["agents"] = rng.choice([0, -1, True, 2.0, "2", None, n + 1 if type(n) is int else 1])
+    elif kind == 10:
+        data["buffer"] = rng.choice([0, -2, True, 2.0, "1", None, 5])
+    elif kind == 11:
+        field = rng.choice(["agents", "rounds", "values", "buffer"])
+        if rng.random() < 0.5:
+            data.pop(field, None)
+        elif field == "rounds":
+            rounds[:] = rng.choice([[], [*rounds, []]])
+        elif field == "values":
+            values.clear()
+
+
+def _vectors(instance, form: str) -> dict:
+    """Each good's value vector written as strings, as JSON ints or as the
+    strings of the rational twin."""
+    from fractions import Fraction
+
+    scale = Fraction(TWIN_SCALE)
+    write = {"str": str, "int": int, "twin": lambda v: str(v * scale)}[form]
+    return {g.id: [write(v) for v in g.values] for g in instance.goods}
+
+
+def _loaded(instance) -> dict:
+    """Every field of a loaded instance, ``scale`` and its three tables."""
+    return {
+        "n": instance.n_agents, "horizon": instance.horizon, "buffer": instance.buffer,
+        "goods": [[g.id, g.arrival, repr(g.values)] for g in instance.goods],
+        "scale": instance.scale, "columns": list(instance.columns.items()),
+        "rounds": instance.rounds, "value_table": list(instance.value_table.items()),
+    }
+
+
+def _load(k: int):
+    """A seeded ``generate`` draw with 1-4 agents and 1-4 rounds of 1-4
+    goods at buffer 1-3, loaded one of four ways: its JSON document with
+    string literals, JSON ints or the ×3/7 twin's literals, with 0-3
+    mutations; or ``from_value_rounds`` on its Fractions, one of them
+    replaced by a literal or a bad value a third of the time; or an
+    allocation document for it, random and mostly valid, with 0-2
+    defects, read by ``allocation_from_json`` and passed to ``validate``."""
+    from fractions import Fraction
+
+    from tempfair.generators import generate
+    from tempfair.model import (TemporalInstance, allocation_from_json, allocation_to_json,
+                                instance_from_json, validate)
+
+    rng = _rng(f"loader/{k}")
+    instance = generate(rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4),
+                        rng.choice([1, 2, 5, 9]), rng.randrange(10**6), buffer=rng.randint(1, 3))
+    way = rng.choice(["str", "int", "twin", "value_rounds", "allocation"])
+    if way == "value_rounds":
+        scale = Fraction(TWIN_SCALE) if rng.random() < 0.5 else 1
+        value_rounds = [[[v * scale for v in instance.goods_by_id[g].values] for g in r]
+                        for r in instance.rounds]
+        if rng.random() < 1 / 3:
+            vec = rng.choice([vec for r in value_rounds for vec in r])
+            vec[rng.randrange(len(vec))] = rng.choice(LITERALS + BAD_VALUES)
+        return _loaded(TemporalInstance.from_value_rounds(value_rounds, instance.buffer))
+    if way == "allocation":
+        n, horizon = instance.n_agents, instance.horizon
+        placement = {g.id: min(g.arrival + rng.randrange(instance.buffer), horizon)
+                     for g in instance.goods}
+        owner = {g: rng.randint(1, n) for g in placement}
+        data = {"placement": placement, "owner": owner}
+        for _ in range(rng.choice([0, 1, 1, 2])):
+            field = data[rng.choice(["placement", "owner"])]
+            gid = rng.choice(list(field) or ["g1"])
+            field["z1" if rng.random() < 0.2 else gid] = rng.choice(
+                [0, -1, n + 1, horizon + 1, 1.0, True, "1", None])
+            if rng.random() < 0.2:
+                field.pop(gid, None)
+        if rng.random() < 0.05:
+            data[rng.choice(["placement", "owner"])] = [1]
+        allocation = allocation_from_json(data)
+        validate(instance, allocation)
+        return allocation_to_json(allocation)
+    data = {"agents": instance.n_agents, "buffer": instance.buffer,
+            "rounds": [list(r) for r in instance.rounds], "values": _vectors(instance, way)}
+    for _ in range(rng.choice([0, 0, 1, 1, 2, 3])):
+        _mutate(rng, data)
+    return _loaded(instance_from_json(data))
+
+
 def cases(draws: int, solver_draws: int):
-    """Every (family, case id, thunk) in a fixed order."""
+    """Every (family, case id, thunk) in a fixed order.  The loader family
+    comes first, so a replay of each family's first cases reaches it
+    without drawing the whole ``check_temporal`` family."""
+    from tempfair.model import instance_from_json
     from tempfair.solvers import SOLVERS
 
+    yield "loader", "loader/pinned", lambda: _loaded(instance_from_json(PINNED))
+    for k in range(LOADER_DRAWS):
+        yield "loader", f"loader/{k}", lambda k=k: _load(k)
     for routine in ROUTINES:
         for k in range(draws):
             case = f"{routine}/{k}"

@@ -3,9 +3,9 @@
 ``golden/equivalence.json`` holds, per family, the number of cases taken
 and the SHA-256 over their digest lines (case id and SHA-256 of the
 output, as the harness prints them).  The cases are the first ``FIRST``
-that ``equivalence.cases()`` yields for each family: single-round
-routines, solvers, ``search`` with node counts and ``check_temporal``
-with witnesses.  The full-size run stays ``tests/equivalence.py
+that ``equivalence.cases()`` yields for each family: the loaders,
+single-round routines, solvers, ``search`` with node counts and
+``check_temporal`` with witnesses.  The full-size run stays ``tests/equivalence.py
 --compare``.
 
 ``PYTHONPATH=src python tests/test_equivalence_golden.py`` rewrites the
