@@ -171,8 +171,10 @@ def _per_agent(instance, bundles):
     handouts = [(j, g) for j, bundle in enumerate(bundles) for g in bundle]
     seen = set()
     for _, g in handouts:
-        if g in seen or g not in instance.columns:
-            raise ValidationError(f"{'repeated' if g in seen else 'unknown'} good {g!r} in bundles")
+        if not isinstance(g, str) or g not in instance.columns:
+            raise ValidationError(f"unknown good {g!r} in bundles")
+        if g in seen:
+            raise ValidationError(f"repeated good {g!r} in bundles")
         seen.add(g)
     return [handouts]
 

@@ -6,9 +6,11 @@ rejected wherever values enter), and inside an integer, that value times
 the instance's ``scale``, the LCM of all value denominators.  Every layer
 sums and compares the integers of ``columns``, one tuple per good in agent
 order, ``classify`` included; ``value_table`` is their agent-major view.
-A load parses each distinct literal once, with ``parse_rational``.  An
-allocation maps each good to the round it is handed out (its placement,
-at most ``buffer - 1`` rounds after arrival) and to the agent who owns it.
+The loader checks a document in whole-document scans, parses each distinct
+literal once with ``parse_rational`` and fills ``scale``, ``columns`` and
+``goods_by_id``; its good-by-good walk runs only to word a rejection.  An
+allocation maps each good to the round it is handed out (its placement, at
+most ``buffer - 1`` rounds after arrival) and to the agent who owns it.
 
 Agents are indexed 1..n in the public API.  Internally bundles are kept as
 tuples indexed 0..n-1; helpers here do the translation.
@@ -21,6 +23,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain, count, repeat
+from operator import attrgetter, sub
 from typing import Mapping, Sequence
 
 from .errors import BufferViolation, ValidationError
@@ -40,7 +44,21 @@ def parse_rational(text) -> Fraction:
     Ints and Fractions pass through.  Floats and bools are rejected:
     exactness is load-bearing for every checker here.  So is exponent
     notation: ``Fraction('1e999999999')`` builds the power before any check.
+    ASCII digit strings ``p`` and ``p/q`` skip ``Fraction(str)``'s regex;
+    every other spelling goes through it.
     """
+    if isinstance(text, str):
+        if "e" in text or "E" in text:
+            raise ValidationError(f"exponent notation rejected: {text!r}")
+        if "_" in text:  # Fraction(str) takes PEP 515 underscores from 3.11 on
+            raise ValidationError(f"bad rational literal {text!r}")
+        p, slash, q = text.partition("/")
+        try:
+            if text.isascii() and p.isdigit() and (q.isdigit() or not slash):
+                return Fraction(int(p), int(q)) if slash else Fraction(int(p))
+            return Fraction(text.strip())
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValidationError(f"bad rational literal {text!r}") from exc
     if isinstance(text, bool):
         raise ValidationError(f"not a rational value: {text!r}")
     if isinstance(text, int):
@@ -51,31 +69,7 @@ def parse_rational(text) -> Fraction:
         raise ValidationError(
             f"float value {text!r} rejected; use a string like '1/3'"
         )
-    if isinstance(text, str):
-        if "e" in text or "E" in text:
-            raise ValidationError(f"exponent notation rejected: {text!r}")
-        if "_" in text:  # Fraction(str) takes PEP 515 underscores from 3.11 on
-            raise ValidationError(f"bad rational literal {text!r}")
-        try:
-            return Fraction(text.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValidationError(f"bad rational literal {text!r}") from exc
     raise ValidationError(f"not a rational value: {text!r}")
-
-
-class _Literals(dict):
-    """String literal -> its Fraction, each parsed once by ``parse_rational``.
-
-    One per load.  Only strings are keys: ``True == 1`` and both hash
-    alike, so a mixed key would let a bool through as the value 1.
-    """
-
-    def __missing__(self, text: str) -> Fraction:
-        value = self[text] = parse_rational(text)
-        return value
-
-    def vector(self, vec) -> tuple[Fraction, ...]:
-        return tuple([self[v] if type(v) is str else parse_rational(v) for v in vec])
 
 
 @dataclass(frozen=True)
@@ -159,7 +153,8 @@ class TemporalInstance:
     @cached_property
     def columns(self) -> dict[str, tuple[int, ...]]:
         """The integer table: good id, in instance order, to its values times
-        ``scale`` in agent order, cut ``n_agents`` at a time from one pass."""
+        ``scale`` in agent order, cut ``n_agents`` at a time from one pass.
+        The loader fills it; a directly built instance computes it here."""
         scale = self.scale
         ints = iter([v.numerator * (scale // v.denominator) for g in self.goods for v in g.values])
         return dict(zip((g.id for g in self.goods), zip(*[ints] * self.n_agents)))
@@ -234,19 +229,29 @@ def validate(instance: TemporalInstance, allocation: TemporalAllocation) -> None
 
     Every good must be owned by a valid agent and placed inside its delay
     window, no later than the horizon; owner and placement may name no
-    other goods.
+    other goods.  The checks are scans of the whole owner and placement
+    tables; only when one fails does a loop over the owner entries raise
+    the first defect.
     """
-    owned = set(allocation.owner)
-    all_ids = set(instance.goods_by_id)
-    missing = all_ids - owned
-    if missing:
-        raise ValidationError(f"goods never allocated: {sorted(missing, key=good_key)}")
-    extra = owned - all_ids
-    if extra:
-        raise ValidationError(f"unknown goods in allocation: {sorted(extra, key=good_key)}")
-    stray = set(allocation.placement) - all_ids
-    if stray:
+    owner, placement, ids = allocation.owner, allocation.placement, instance.goods_by_id.keys()
+    if owner.keys() != ids or not placement.keys() <= ids:
+        owned, all_ids = set(owner), set(ids)
+        missing = all_ids - owned
+        if missing:
+            raise ValidationError(f"goods never allocated: {sorted(missing, key=good_key)}")
+        extra = owned - all_ids
+        if extra:
+            raise ValidationError(f"unknown goods in allocation: {sorted(extra, key=good_key)}")
+        stray = set(placement) - all_ids
         raise ValidationError(f"unknown goods in placement: {sorted(stray, key=good_key)}")
+    agents = owner.values()
+    placed = list(map(placement.get, ids))
+    if set(map(type, agents)) | set(map(type, placed)) <= {int}:
+        waits = list(map(sub, placed, map(attrgetter("arrival"), instance.goods)))
+        if (1 <= min(agents, default=1) and max(agents, default=1) <= instance.n_agents
+                and 0 <= min(waits, default=0) and max(waits, default=0) < instance.buffer
+                and max(placed, default=1) <= instance.horizon):
+            return
     for gid, agent in allocation.owner.items():
         if not 1 <= agent <= instance.n_agents:
             raise ValidationError(f"good {gid!r} owned by invalid agent {agent}")
@@ -356,6 +361,9 @@ def _json_int(value, what: str) -> int:
 
 
 def instance_from_json(data: dict) -> TemporalInstance:
+    """Read an instance document: ``_scan`` builds it, checked, in
+    whole-document passes; only when a scan fails does ``_walk`` read it
+    good by good, to raise its first error in document order."""
     try:
         n = data["agents"]
         rounds = data["rounds"]
@@ -368,9 +376,54 @@ def instance_from_json(data: dict) -> TemporalInstance:
         raise ValidationError("'rounds' must be a list of rounds")
     if not isinstance(values, dict):
         raise ValidationError("'values' must map good ids to value vectors")
+    instance = _scan(n, rounds, values, buffer)
+    return _walk(n, rounds, values, buffer) if instance is None else instance
+
+
+def _scan(n: int, rounds: list, values: dict, buffer: int) -> TemporalInstance | None:
+    """The instance, or None when a check fails or there is no good.  Each
+    distinct literal is parsed once and gives one table integer; the
+    per-value checks of ``__post_init__`` are not run again."""
+    if n < 1 or buffer < 1 or not rounds or not set(map(type, rounds)) <= {list}:
+        return None
+    ids = list(chain.from_iterable(rounds))
+    if not ids or not set(map(type, ids)) <= {str}:
+        return None
+    id_set = set(ids)
+    if len(id_set) < len(ids) or values.keys() != id_set:
+        return None
+    vectors = list(map(values.__getitem__, ids))
+    if not set(map(type, vectors)) <= {list} or not set(map(len, vectors)) <= {n}:
+        return None
+    flat = list(chain.from_iterable(vectors))
+    # no bool or float, which equal and hash like ints, may key the dicts below
+    if not set(map(type, flat)) <= {str, int, Fraction}:
+        return None
+    try:
+        fractions = {v: parse_rational(v) for v in set(flat)}
+    except ValidationError:
+        return None
+    scale = math.lcm(*{f.denominator for f in fractions.values()})
+    ints = {v: f.numerator * (scale // f.denominator) for v, f in fractions.items()}
+    if min(ints.values()) < 0:
+        return None
+    # n values per good, cut from one pass over the literals; n <= len(flat)
+    vals = zip(*[map(fractions.__getitem__, flat)] * n)
+    arrivals = chain.from_iterable(map(repeat, count(1), map(len, rounds)))
+    goods = tuple(map(Good, ids, arrivals, vals))
+    instance = object.__new__(TemporalInstance)
+    instance.__dict__.update(
+        n_agents=n, horizon=len(rounds), goods=goods, buffer=buffer, scale=scale,
+        columns=dict(zip(ids, zip(*[map(ints.__getitem__, flat)] * n))),
+        goods_by_id=dict(zip(ids, goods)),
+    )
+    return instance
+
+
+def _walk(n: int, rounds: list, values: dict, buffer: int) -> TemporalInstance:
+    """The document read good by good and checked by ``TemporalInstance``,
+    so that a rejected document raises its first error in document order."""
     goods = []
-    seen = set()
-    literals = _Literals()
     for t, round_ids in enumerate(rounds, start=1):
         if not isinstance(round_ids, list):
             raise ValidationError(f"round {t} is not a list of good ids")
@@ -382,15 +435,8 @@ def instance_from_json(data: dict) -> TemporalInstance:
             vec = values[gid]
             if not isinstance(vec, list):
                 raise ValidationError(f"value vector of {gid!r} is not a list")
-            goods.append(
-                Good(
-                    id=gid,
-                    arrival=t,
-                    values=literals.vector(vec),
-                )
-            )
-            seen.add(gid)
-    orphans = set(values) - seen
+            goods.append(Good(gid, t, tuple(map(parse_rational, vec))))
+    orphans = set(values) - {g.id for g in goods}
     if orphans:
         raise ValidationError(
             f"value vectors for goods not in any round: {sorted(orphans, key=good_key)}"
@@ -420,8 +466,9 @@ def allocation_from_json(data: dict) -> TemporalAllocation:
     for field, mapping in (("placement", placement), ("owner", owner)):
         if not isinstance(mapping, dict):
             raise ValidationError(f"'{field}' must map good ids to integers")
-        for gid, value in mapping.items():
-            _json_int(value, f"{field} of {gid!r}")
+        if not set(map(type, mapping.values())) <= {int}:  # word the first bad entry
+            for gid, value in mapping.items():
+                _json_int(value, f"{field} of {gid!r}")
     if set(placement) != set(owner):
         raise ValidationError("placement and owner cover different goods")
     return TemporalAllocation(placement=dict(placement), owner=dict(owner))

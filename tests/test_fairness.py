@@ -8,6 +8,7 @@ agree with them on exhaustively enumerated small allocations.
 
 import itertools
 import random
+import re
 import time
 from fractions import Fraction as F
 
@@ -218,13 +219,14 @@ def test_checkers_reject_a_wrong_bundle_count(checker, bundles):
     "bundles,message",
     [([["zz"], [], []], "unknown good 'zz'"),
      ([["g1"], ["g1"], []], "repeated good 'g1'"),
-     ([["g1", "g1"], [], []], "repeated good 'g1'")],
-    ids=["unknown", "in-two-bundles", "twice-in-one"],
+     ([["g1", "g1"], [], []], "repeated good 'g1'"),
+     ([[["g1"]], [], []], re.escape("unknown good ['g1']"))],
+    ids=["unknown", "in-two-bundles", "twice-in-one", "unhashable"],
 )
 def test_checkers_reject_bundles_that_are_no_division(checker, bundles, message):
     # as validate does for an allocation: an id the instance lacks is not a
-    # bare KeyError, and a good listed twice is not counted twice (nor put
-    # twice into is_mms's pool)
+    # bare KeyError (nor, when unhashable, a bare TypeError), and a good
+    # listed twice is not counted twice (nor put twice into is_mms's pool)
     inst = generate(3, 2, 4, 9, seed=1)
     with pytest.raises(ValidationError, match=message):
         checker(inst, bundles)

@@ -459,3 +459,46 @@ def test_values_are_parse_rational_of_each_literal():
         for g, vec in zip(inst.goods, vectors):
             assert g.values == tuple(parse_rational(v) for v in vec)
             assert all(type(v) is F for v in g.values)
+
+
+def _documents():
+    """A seeded document with string literals, with JSON ints, with the
+    x3/7 twin's literals, and with the twin's Fractions, as
+    ``from_value_rounds`` hands them to the loader."""
+    inst = generate(3, 4, 3, 9, seed=5, buffer=2)
+    data = instance_to_json(inst)
+    yield data
+    yield {**data, "values": {g.id: [int(v) for v in g.values] for g in inst.goods}}
+    yield {**data, "values": {g.id: [str(v * F(3, 7)) for v in g.values] for g in inst.goods}}
+    yield {**data, "values": {g.id: [v * F(3, 7) for v in g.values] for g in inst.goods}}
+
+
+@pytest.mark.parametrize("data", list(_documents()), ids=["str", "int", "twin", "fractions"])
+def test_loaded_tables_equal_the_lazy_ones(data):
+    # the loader fills scale, columns and goods_by_id; direct construction
+    # of the same goods computes them on first use
+    loaded = instance_from_json(data)
+    filled = {"scale", "columns", "goods_by_id"}
+    assert filled <= vars(loaded).keys()
+    direct = TemporalInstance(loaded.n_agents, loaded.horizon, loaded.goods, loaded.buffer)
+    assert not filled & vars(direct).keys()
+    assert direct == loaded
+    assert (direct.scale, direct.columns) == (loaded.scale, loaded.columns)
+    assert direct.goods_by_id == loaded.goods_by_id
+    assert direct.value_table == loaded.value_table
+
+
+def test_load_shares_one_fraction_per_distinct_literal():
+    data = _instance_json(agents=3, rounds=[["g1", "g2"]],
+                          values={"g1": [2, "1/2", 2], "g2": ["1/2", 2, " 1/2"]})
+    (a, b, c), (d, e, f) = (g.values for g in instance_from_json(data).goods)
+    assert a is c is e  # the int literal 2
+    assert b is d and f is not d and f == d  # '1/2' twice, ' 1/2' once
+
+
+def test_first_error_in_document_order():
+    # a bad literal in g1 comes before g2's vector that is no list
+    data = _instance_json(rounds=[["g1", "g2"]], values={"g1": ["1", "x"], "g2": "nolist"})
+    with pytest.raises(ValidationError) as exc:
+        instance_from_json(data)
+    assert str(exc.value) == "bad rational literal 'x'"
