@@ -231,7 +231,10 @@ def _mutate(rng, data: dict) -> None:
         del values[rng.choice(list(values))]
     elif kind == 4 and vectors:
         vec = rng.choice(vectors)
-        vec.pop() if rng.random() < 0.5 else vec.append(rng.choice(["1", 2]))
+        if rng.random() < 0.5:
+            vec.pop()
+        else:
+            vec.append(rng.choice(["1", 2]))
     elif kind == 5:
         values[f"z{rng.randrange(3)}"] = ["1"] * rng.randint(1, 4)
     elif kind == 6 and lists:
