@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, count, repeat
-from operator import attrgetter, sub
 from typing import Mapping, Sequence
 
 from .errors import BufferViolation, ValidationError
@@ -97,6 +96,8 @@ class TemporalInstance:
     buffer: int = 1
 
     def __post_init__(self):
+        """Check the instance.  The loader's ``_scan`` builds instances
+        without this method, so it must enforce every check made here."""
         for field in ("n_agents", "horizon", "buffer"):
             _json_int(getattr(self, field), field)
         if self.n_agents < 1:
@@ -229,29 +230,19 @@ def validate(instance: TemporalInstance, allocation: TemporalAllocation) -> None
 
     Every good must be owned by a valid agent and placed inside its delay
     window, no later than the horizon; owner and placement may name no
-    other goods.  The checks are scans of the whole owner and placement
-    tables; only when one fails does a loop over the owner entries raise
-    the first defect.
+    other goods.
     """
-    owner, placement, ids = allocation.owner, allocation.placement, instance.goods_by_id.keys()
-    if owner.keys() != ids or not placement.keys() <= ids:
-        owned, all_ids = set(owner), set(ids)
-        missing = all_ids - owned
-        if missing:
-            raise ValidationError(f"goods never allocated: {sorted(missing, key=good_key)}")
-        extra = owned - all_ids
-        if extra:
-            raise ValidationError(f"unknown goods in allocation: {sorted(extra, key=good_key)}")
-        stray = set(placement) - all_ids
+    owned = set(allocation.owner)
+    all_ids = set(instance.goods_by_id)
+    missing = all_ids - owned
+    if missing:
+        raise ValidationError(f"goods never allocated: {sorted(missing, key=good_key)}")
+    extra = owned - all_ids
+    if extra:
+        raise ValidationError(f"unknown goods in allocation: {sorted(extra, key=good_key)}")
+    stray = set(allocation.placement) - all_ids
+    if stray:
         raise ValidationError(f"unknown goods in placement: {sorted(stray, key=good_key)}")
-    agents = owner.values()
-    placed = list(map(placement.get, ids))
-    if set(map(type, agents)) | set(map(type, placed)) <= {int}:
-        waits = list(map(sub, placed, map(attrgetter("arrival"), instance.goods)))
-        if (1 <= min(agents, default=1) and max(agents, default=1) <= instance.n_agents
-                and 0 <= min(waits, default=0) and max(waits, default=0) < instance.buffer
-                and max(placed, default=1) <= instance.horizon):
-            return
     for gid, agent in allocation.owner.items():
         if not 1 <= agent <= instance.n_agents:
             raise ValidationError(f"good {gid!r} owned by invalid agent {agent}")
@@ -381,13 +372,13 @@ def instance_from_json(data: dict) -> TemporalInstance:
 
 
 def _scan(n: int, rounds: list, values: dict, buffer: int) -> TemporalInstance | None:
-    """The instance, or None when a check fails or there is no good.  Each
-    distinct literal is parsed once and gives one table integer; the
-    per-value checks of ``__post_init__`` are not run again."""
+    """The instance, or None when a check fails.  Each distinct literal is
+    parsed once and gives one table integer; the per-value checks of
+    ``__post_init__`` are not run again."""
     if n < 1 or buffer < 1 or not rounds or not set(map(type, rounds)) <= {list}:
         return None
     ids = list(chain.from_iterable(rounds))
-    if not ids or not set(map(type, ids)) <= {str}:
+    if not set(map(type, ids)) <= {str}:
         return None
     id_set = set(ids)
     if len(id_set) < len(ids) or values.keys() != id_set:
@@ -405,16 +396,18 @@ def _scan(n: int, rounds: list, values: dict, buffer: int) -> TemporalInstance |
         return None
     scale = math.lcm(*{f.denominator for f in fractions.values()})
     ints = {v: f.numerator * (scale // f.denominator) for v, f in fractions.items()}
-    if min(ints.values()) < 0:
+    if min(ints.values(), default=0) < 0:
         return None
-    # n values per good, cut from one pass over the literals; n <= len(flat)
-    vals = zip(*[map(fractions.__getitem__, flat)] * n)
+    # n values per good, cut from one pass over the literals; with no good
+    # there is nothing to cut, whatever n is
+    width = n if flat else 0
+    vals = zip(*[map(fractions.__getitem__, flat)] * width)
     arrivals = chain.from_iterable(map(repeat, count(1), map(len, rounds)))
     goods = tuple(map(Good, ids, arrivals, vals))
     instance = object.__new__(TemporalInstance)
     instance.__dict__.update(
         n_agents=n, horizon=len(rounds), goods=goods, buffer=buffer, scale=scale,
-        columns=dict(zip(ids, zip(*[map(ints.__getitem__, flat)] * n))),
+        columns=dict(zip(ids, zip(*[map(ints.__getitem__, flat)] * width))),
         goods_by_id=dict(zip(ids, goods)),
     )
     return instance
