@@ -228,21 +228,21 @@ def is_alpha_efx(instance: TemporalInstance, bundles: Bundles, alpha) -> bool:
 def mms_share(values: Sequence[int | Fraction], n_parts: int, cap: int | None = 16) -> Fraction:
     """Maximin share of one agent over a pool, split into n_parts bundles.
 
-    ``values`` lists the agent's values for every good in the pool: ints
-    and Fractions as they are, anything else read by ``parse_rational``
-    (so floats and bools are rejected).  Parts may be empty.  The values,
-    scaled by the LCM of their denominators, go to ``_int_share``, the
-    entry the checkers and solvers call with table integers.  It drops
-    zeros and divides by the GCD, so pools that differ by one positive
-    factor share a memo entry.  Two parts run a subset-sum sweep with no
-    size limit: a bitset of the sums up to half the total, or a set of
-    reachable sums when the bitset would be wider than the 2**k sums k
-    goods reach.  Three or more parts, at most ``cap`` goods with zeros
-    (None lifts the cap), run branch and bound from the greedy split
-    (largest good into the lightest part), loading no part past what
-    leaves the others above the best split so far.  Both stop once a
-    split reaches floor(total / n_parts), which none can beat.
-    ``n_parts`` must be an int, not a bool or a float.
+    ``values`` lists the agent's values for every good in the pool: ints and
+    Fractions as they are, anything else read by ``parse_rational`` (so floats
+    and bools are rejected).  Parts may be empty.  The values, scaled by the
+    LCM of their denominators, go to ``_int_share``, the entry the checkers and
+    solvers call with table integers.  It drops zeros and divides by the GCD,
+    so pools that differ by one positive factor share a memo entry.  Two parts
+    run a subset-sum sweep with no size limit: a bitset of the sums up to half
+    the total, or a set of reachable sums when the bitset would be wider than
+    the 2**k sums k goods reach.  Three or more parts, at most ``cap`` goods
+    with zeros (None lifts the cap; the worst case is exponential), run branch
+    and bound on one explicit stack, so with no recursion limit, from the
+    greedy split (largest good into the lightest part), loading no part past
+    what leaves the others above the best split so far.  Both stop once a split
+    reaches floor(total / n_parts), which none can beat.  ``n_parts`` must be
+    an int, not a bool or a float.
     """
     if _json_int(n_parts, "n_parts") < 1:
         raise ValidationError("need at least one part")
@@ -302,33 +302,28 @@ def _mms_share_search(vals: tuple[int, ...], n_parts: int) -> int:
     if best == bound:
         return best
     parts = [0] * n_parts
-    suffix = [0] * (len(vals) + 1)
-    for k in range(len(vals) - 1, -1, -1):
-        suffix[k] = suffix[k + 1] + vals[k]
-
-    def walk(k: int) -> bool:
-        """Extend the partial split from good k; True once best hits bound."""
-        nonlocal best
-        if k == len(vals):
-            best = max(best, min(parts))
-            return best == bound
-        if min(parts) + suffix[k] <= best:
-            return False  # even funneling everything into the min part cannot win
-        seen = set()
-        for p in range(n_parts):
-            if parts[p] in seen:
-                continue  # identical part loads are interchangeable
-            if parts[p] + vals[k] > total - (n_parts - 1) * (best + 1):
-                continue  # the other parts could not all beat best
-            seen.add(parts[p])
-            parts[p] += vals[k]
-            done = walk(k + 1)
-            parts[p] -= vals[k]
-            if done:
-                return True
-        return False
-
-    walk(0)
+    at = [-1] * len(vals)  # the part good k sits in, -1 before its first
+    k = 0
+    while k >= 0:  # depth first: move good k to its next part, or back up
+        v, p = vals[k], at[k]
+        if p >= 0:
+            parts[p] -= v
+        limit = total - (n_parts - 1) * (best + 1) - v  # the others must beat best
+        p += 1
+        # an earlier part of equal load was tried already, or failed a looser limit
+        while p < n_parts and (parts[p] > limit or parts.index(parts[p]) < p):
+            p += 1
+        if p == n_parts:
+            at[k], k = -1, k - 1
+            continue
+        at[k] = p
+        parts[p] += v
+        rest = total - sum(parts)  # the goods after k
+        if min(parts) + rest > best:  # funneling them all into the min part could win
+            if rest:
+                k += 1
+            elif (best := min(parts)) == bound:
+                return best
     return best
 
 

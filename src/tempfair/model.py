@@ -154,11 +154,11 @@ class TemporalInstance:
     @cached_property
     def columns(self) -> dict[str, tuple[int, ...]]:
         """The integer table: good id, in instance order, to its values times
-        ``scale`` in agent order, cut ``n_agents`` at a time from one pass.
+        ``scale`` in agent order, cut ``n_agents`` at a time (none with no good).
         The loader fills it; a directly built instance computes it here."""
-        scale = self.scale
+        scale, width = self.scale, (self.n_agents if self.goods else 0)
         ints = iter([v.numerator * (scale // v.denominator) for g in self.goods for v in g.values])
-        return dict(zip((g.id for g in self.goods), zip(*[ints] * self.n_agents)))
+        return dict(zip((g.id for g in self.goods), zip(*[ints] * width)))
 
     @cached_property
     def value_table(self) -> dict[int, dict[str, int]]:

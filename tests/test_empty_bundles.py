@@ -102,15 +102,19 @@ def test_no_goods():
         assert check_temporal(inst, TemporalAllocation({}, {}), concept).holds
         outcome = search(inst, concept)
         assert (outcome.exists, outcome.nodes_visited, outcome.space_bound) == (True, 0, 1)
-    # with no good the loader cuts no rows, so nothing is sized by the agent
-    # count: a list of 10**6 references would take 8 MB
-    tracemalloc.start()
-    try:
-        many = instance_from_json({"agents": 10**6, "rounds": [[]], "values": {}})
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert (many.scale, many.columns, peak < 100_000) == (1, {}, True)
+    # with no good neither the loader nor a directly built instance cuts
+    # rows, so nothing is sized by the agent count: a list of 10**6
+    # references would take 8 MB
+    for build in (lambda: instance_from_json({"agents": 10**6, "rounds": [[]], "values": {}}),
+                  lambda: TemporalInstance(10**6, 1, ())):
+        tracemalloc.start()
+        try:
+            many = build()
+            columns = many.columns
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (many.scale, columns, peak < 100_000) == (1, {}, True)
 
 
 def test_zero_valued_goods_in_envied_bundle():

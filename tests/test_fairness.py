@@ -277,13 +277,23 @@ class TestMmsShare:
             "zero-or-b": lambda k, a, b: [rng.choice((0, b)) for _ in range(k)],
             "all-equal": lambda k, a, b: [a] * k,
         }
-        for n_parts in (3, 4):
+        for n_parts in (3, 4, 5):
             for kind, draw in draws.items():
                 for _ in range(12):
                     a, b = sorted(rng.sample(range(1, 21), 2))
                     vals = draw(rng.randint(9, 13), a, b)
                     assert mms_share(vals, n_parts) == dp_mms_share(vals, n_parts), (
                         kind, vals, n_parts)
+
+    def test_three_parts_of_1100_goods_without_recursion(self):
+        # the 3+-part branch and bound walks one explicit stack, so an
+        # uncapped pool deeper than the recursion limit still gets its share
+        for seed, share in ((0, 1367), (1, 1392)):
+            r = random.Random(seed)
+            pool = [r.choice((2, 4, 6, 3)) for _ in range(1100)]
+            start = time.perf_counter()
+            assert mms_share(pool, 3, cap=None) == share
+            assert time.perf_counter() - start < 1.0
 
     def test_cap_guard(self):
         vals = [F(1)] * 17
