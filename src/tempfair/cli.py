@@ -50,7 +50,7 @@ def _cmd_classify(args) -> tuple[dict, int]:
     return {
         "agents": instance.n_agents,
         "rounds": instance.horizon,
-        "goods": len(instance.goods),
+        "goods": len(instance.arrival),
         "buffer": instance.buffer,
         "setting": classify(instance).flags(),
     }, 0

@@ -1,16 +1,17 @@
 """Core data model for temporal fair division instances.
 
-Goods arrive over a horizon of ``T`` rounds.  Every good carries one value
-per agent: an exact Fraction at the boundary (floats and bools are
-rejected wherever values enter), and inside an integer, that value times
-the instance's ``scale``, the LCM of all value denominators.  Every layer
-sums and compares the integers of ``columns``, one tuple per good in agent
-order, ``classify`` included; ``value_table`` is their agent-major view.
-The loader checks a document in whole-document scans, parses each distinct
-literal once with ``parse_rational`` and fills ``scale``, ``columns`` and
-``goods_by_id``; its good-by-good walk runs only to word a rejection.  An
-allocation maps each good to the round it is handed out (its placement, at
-most ``buffer - 1`` rounds after arrival) and to the agent who owns it.
+Goods arrive over a horizon of ``T`` rounds, each with one value per agent:
+an exact Fraction at the boundary (floats and bools are rejected wherever
+values enter).  An instance stores its integer table: ``arrival``, each good
+id in instance order to its round, and ``columns``, each id to its values
+times ``scale`` (the LCM of every value denominator) in agent order.  Every
+layer sums and compares those integers; ``value_table`` is their agent-major
+view, and ``goods`` holds the Fractions, built on first read.  One check,
+``_checked``, guards the constructor and the loader alike; the loader scans
+a document in whole-document passes and parses each distinct literal once,
+and walks it good by good only to word a rejection.  An allocation maps each
+good to the round it is handed out (its placement, at most ``buffer - 1``
+rounds after arrival) and to the agent who owns it.
 
 Agents are indexed 1..n in the public API.  Internally bundles are kept as
 tuples indexed 0..n-1; helpers here do the translation.
@@ -80,7 +81,7 @@ class Good:
     values: tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class TemporalInstance:
     """An arrival sequence of goods plus the number of agents and the buffer.
 
@@ -88,46 +89,41 @@ class TemporalInstance:
     round t may be handed out at any round in [t, t + buffer - 1] that does
     not exceed the horizon.  ``buffer == 1`` means goods are handed out on
     arrival, which is the plain (unscheduled) model.
+
+    The instance stores its integer table: ``arrival`` maps each good id, in
+    instance order, to its arrival round, and ``columns`` maps it to its
+    values times ``scale`` in agent order.  Two instances are equal when
+    their counts and their goods, in instance order, are.
     """
 
     n_agents: int
     horizon: int
-    goods: tuple[Good, ...]
-    buffer: int = 1
+    buffer: int
+    arrival: dict[str, int]
+    columns: dict[str, tuple[int, ...]]
+    scale: int
 
-    def __post_init__(self):
-        """Check the instance.  The loader's ``_scan`` builds instances
-        without this method, so it must enforce every check made here."""
-        for field in ("n_agents", "horizon", "buffer"):
-            _json_int(getattr(self, field), field)
-        if self.n_agents < 1:
-            raise ValidationError("need at least one agent")
-        if self.horizon < 1:
-            raise ValidationError("horizon must be at least 1")
-        if self.buffer < 1:
-            raise ValidationError("buffer must be at least 1")
-        seen = set()
-        for g in self.goods:
-            if g.id in seen:
-                raise ValidationError(f"duplicate good id {g.id!r}")
-            seen.add(g.id)
-            if not 1 <= g.arrival <= self.horizon:
-                raise ValidationError(
-                    f"good {g.id!r} arrives at round {g.arrival}, "
-                    f"outside 1..{self.horizon}"
-                )
-            if len(g.values) != self.n_agents:
-                raise ValidationError(
-                    f"good {g.id!r} has {len(g.values)} values for "
-                    f"{self.n_agents} agents"
-                )
+    def __init__(self, n_agents: int, horizon: int, goods: Sequence[Good] = (), buffer: int = 1):
+        """Store and check the table of ``goods``, whose values must be Fractions."""
+        for g in goods:
             for v in g.values:
                 if not isinstance(v, Fraction):
-                    raise ValidationError(
-                        f"good {g.id!r} has non-Fraction value {v!r}"
-                    )
-                if v.numerator < 0:
-                    raise ValidationError(f"good {g.id!r} has negative value")
+                    raise ValidationError(f"good {g.id!r} has non-Fraction value {v!r}")
+        values = [v for g in goods for v in g.values]
+        scale = math.lcm(*{v.denominator for v in values})
+        _checked(self, n_agents, horizon, buffer, [g.id for g in goods],
+                 [g.arrival for g in goods], [len(g.values) for g in goods],
+                 [v.numerator * (scale // v.denominator) for v in values], scale)
+
+    def _key(self) -> tuple:
+        return (self.n_agents, self.horizon, self.buffer, self.scale,
+                tuple(self.arrival.items()), tuple(self.columns.items()))
+
+    def __eq__(self, other):
+        return isinstance(other, TemporalInstance) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def agents(self) -> range:
@@ -135,30 +131,27 @@ class TemporalInstance:
         return range(1, self.n_agents + 1)
 
     @cached_property
+    def goods(self) -> tuple[Good, ...]:
+        """The goods in instance order, built on first read; each value is
+        ``Fraction(c, scale)``, one Fraction per distinct table integer c."""
+        columns = self.columns.values()
+        fraction = {c: Fraction(c, self.scale) for c in set().union(*columns)}
+        values = map(fraction.__getitem__, chain.from_iterable(columns))
+        return tuple(map(Good, self.arrival, self.arrival.values(),
+                         zip(*[values] * (self.n_agents if columns else 0))))
+
+    @cached_property
     def goods_by_id(self) -> dict[str, Good]:
-        return {g.id: g for g in self.goods}
+        return dict(zip(self.arrival, self.goods))
 
     @cached_property
     def rounds(self) -> tuple[tuple[str, ...], ...]:
-        """Good ids grouped by arrival round, each group in canonical order."""
+        """Good ids grouped by arrival round, each group in canonical order
+        (``good_key``'s: by length, then text)."""
         buckets: list[list[str]] = [[] for _ in range(self.horizon)]
-        for g in self.goods:
-            buckets[g.arrival - 1].append(g.id)
-        return tuple(tuple(sorted(b, key=good_key)) for b in buckets)
-
-    @cached_property
-    def scale(self) -> int:
-        """LCM of every value denominator; 1 when there are no goods."""
-        return math.lcm(*(v.denominator for g in self.goods for v in g.values))
-
-    @cached_property
-    def columns(self) -> dict[str, tuple[int, ...]]:
-        """The integer table: good id, in instance order, to its values times
-        ``scale`` in agent order, cut ``n_agents`` at a time (none with no good).
-        The loader fills it; a directly built instance computes it here."""
-        scale, width = self.scale, (self.n_agents if self.goods else 0)
-        ints = iter([v.numerator * (scale // v.denominator) for g in self.goods for v in g.values])
-        return dict(zip((g.id for g in self.goods), zip(*[ints] * width)))
+        for gid, a in self.arrival.items():
+            buckets[a - 1].append(gid)
+        return tuple(tuple(sorted(sorted(b), key=len)) for b in buckets)
 
     @cached_property
     def value_table(self) -> dict[int, dict[str, int]]:
@@ -232,24 +225,19 @@ def validate(instance: TemporalInstance, allocation: TemporalAllocation) -> None
     window, no later than the horizon; owner and placement may name no
     other goods.
     """
-    owned = set(allocation.owner)
-    all_ids = set(instance.goods_by_id)
-    missing = all_ids - owned
-    if missing:
-        raise ValidationError(f"goods never allocated: {sorted(missing, key=good_key)}")
-    extra = owned - all_ids
-    if extra:
-        raise ValidationError(f"unknown goods in allocation: {sorted(extra, key=good_key)}")
-    stray = set(allocation.placement) - all_ids
-    if stray:
-        raise ValidationError(f"unknown goods in placement: {sorted(stray, key=good_key)}")
+    owned, all_ids = set(allocation.owner), set(instance.arrival)
+    for what, ids in (("goods never allocated", all_ids - owned),
+                      ("unknown goods in allocation", owned - all_ids),
+                      ("unknown goods in placement", set(allocation.placement) - all_ids)):
+        if ids:
+            raise ValidationError(f"{what}: {sorted(ids, key=good_key)}")
     for gid, agent in allocation.owner.items():
         if not 1 <= agent <= instance.n_agents:
             raise ValidationError(f"good {gid!r} owned by invalid agent {agent}")
         placed = allocation.placement.get(gid)
         if placed is None:
             raise ValidationError(f"good {gid!r} has no placement round")
-        arrival = instance.goods_by_id[gid].arrival
+        arrival = instance.arrival[gid]
         if placed < arrival:
             raise BufferViolation(
                 f"good {gid!r} placed at round {placed} before arrival {arrival}"
@@ -334,14 +322,9 @@ def classify(instance: TemporalInstance) -> SettingClass:
 # --- JSON round-tripping ---------------------------------------------------
 
 def instance_to_json(instance: TemporalInstance) -> dict:
-    return {
-        "agents": instance.n_agents,
-        "buffer": instance.buffer,
-        "rounds": [list(r) for r in instance.rounds],
-        "values": {
-            g.id: [str(v) for v in g.values] for g in instance.goods
-        },
-    }
+    return {"agents": instance.n_agents, "buffer": instance.buffer,
+            "rounds": [list(r) for r in instance.rounds],
+            "values": {g.id: [str(v) for v in g.values] for g in instance.goods}}
 
 
 def _json_int(value, what: str) -> int:
@@ -349,6 +332,43 @@ def _json_int(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValidationError(f"{what} must be an integer, got {value!r}")
     return value
+
+
+def _checked(instance, n_agents, horizon, buffer, ids, arrivals, lengths, table, scale):
+    """Check a table and store it in ``instance``, which is returned.  Good
+    k is ``ids[k]``, arrives at ``arrivals[k]`` and has the next
+    ``lengths[k]`` integers of ``table``, its values times ``scale``.  The
+    counts come first; then whole-table scans, and only when one fails a
+    walk of the goods in order, to raise the first error."""
+    counts = {"n_agents": n_agents, "horizon": horizon, "buffer": buffer}
+    for what, value in counts.items():
+        _json_int(value, what)
+    for value, message in zip(counts.values(), ("need at least one agent",
+                              "horizon must be at least 1", "buffer must be at least 1")):
+        if value < 1:
+            raise ValidationError(message)
+    arrival = dict(zip(ids, arrivals))
+    if (len(arrival) < len(ids) or min(arrivals, default=1) < 1
+            or max(arrivals, default=1) > horizon or not set(lengths) <= {n_agents}
+            or min(table, default=0) < 0):
+        seen, end = set(), 0
+        for gid, a, length in zip(ids, arrivals, lengths):
+            if gid in seen:
+                raise ValidationError(f"duplicate good id {gid!r}")
+            seen.add(gid)
+            if not 1 <= a <= horizon:
+                raise ValidationError(f"good {gid!r} arrives at round {a}, outside 1..{horizon}")
+            if length != n_agents:
+                raise ValidationError(f"good {gid!r} has {length} values for {n_agents} agents")
+            end += length
+            if min(table[end - length:end]) < 0:
+                raise ValidationError(f"good {gid!r} has negative value")
+    # n integers per good, cut from one pass over the table; with no good
+    # there is nothing to cut, whatever n is
+    columns = dict(zip(ids, zip(*[iter(table)] * (n_agents if ids else 0))))
+    instance.__dict__.update(n_agents=n_agents, horizon=horizon, buffer=buffer,
+                             arrival=arrival, columns=columns, scale=scale)
+    return instance
 
 
 def instance_from_json(data: dict) -> TemporalInstance:
@@ -372,19 +392,17 @@ def instance_from_json(data: dict) -> TemporalInstance:
 
 
 def _scan(n: int, rounds: list, values: dict, buffer: int) -> TemporalInstance | None:
-    """The instance, or None when a check fails.  Each distinct literal is
-    parsed once and gives one table integer; the per-value checks of
-    ``__post_init__`` are not run again."""
-    if n < 1 or buffer < 1 or not rounds or not set(map(type, rounds)) <= {list}:
+    """The instance, or None when a document scan fails: the rounds and
+    vectors are lists, the ids strings that key ``values`` and the literals
+    str, int or Fraction, each distinct one parsed once into one table
+    integer.  ``_checked`` checks the table."""
+    if not set(map(type, rounds)) <= {list}:
         return None
     ids = list(chain.from_iterable(rounds))
-    if not set(map(type, ids)) <= {str}:
-        return None
-    id_set = set(ids)
-    if len(id_set) < len(ids) or values.keys() != id_set:
+    if not set(map(type, ids)) <= {str} or values.keys() != set(ids):
         return None
     vectors = list(map(values.__getitem__, ids))
-    if not set(map(type, vectors)) <= {list} or not set(map(len, vectors)) <= {n}:
+    if not set(map(type, vectors)) <= {list}:
         return None
     flat = list(chain.from_iterable(vectors))
     # no bool or float, which equal and hash like ints, may key the dicts below
@@ -396,26 +414,15 @@ def _scan(n: int, rounds: list, values: dict, buffer: int) -> TemporalInstance |
         return None
     scale = math.lcm(*{f.denominator for f in fractions.values()})
     ints = {v: f.numerator * (scale // f.denominator) for v, f in fractions.items()}
-    if min(ints.values(), default=0) < 0:
-        return None
-    # n values per good, cut from one pass over the literals; with no good
-    # there is nothing to cut, whatever n is
-    width = n if flat else 0
-    vals = zip(*[map(fractions.__getitem__, flat)] * width)
-    arrivals = chain.from_iterable(map(repeat, count(1), map(len, rounds)))
-    goods = tuple(map(Good, ids, arrivals, vals))
-    instance = object.__new__(TemporalInstance)
-    instance.__dict__.update(
-        n_agents=n, horizon=len(rounds), goods=goods, buffer=buffer, scale=scale,
-        columns=dict(zip(ids, zip(*[map(ints.__getitem__, flat)] * width))),
-        goods_by_id=dict(zip(ids, goods)),
-    )
-    return instance
+    arrivals = list(chain.from_iterable(map(repeat, count(1), map(len, rounds))))
+    return _checked(object.__new__(TemporalInstance), n, len(rounds), buffer, ids, arrivals,
+                    list(map(len, vectors)), list(map(ints.__getitem__, flat)), scale)
 
 
 def _walk(n: int, rounds: list, values: dict, buffer: int) -> TemporalInstance:
     """The document read good by good and checked by ``TemporalInstance``,
-    so that a rejected document raises its first error in document order."""
+    so that a document that fails a scan raises its first error in
+    document order."""
     goods = []
     for t, round_ids in enumerate(rounds, start=1):
         if not isinstance(round_ids, list):
@@ -432,22 +439,13 @@ def _walk(n: int, rounds: list, values: dict, buffer: int) -> TemporalInstance:
     orphans = set(values) - {g.id for g in goods}
     if orphans:
         raise ValidationError(
-            f"value vectors for goods not in any round: {sorted(orphans, key=good_key)}"
-        )
-    return TemporalInstance(
-        n_agents=n, horizon=len(rounds), goods=tuple(goods), buffer=buffer
-    )
+            f"value vectors for goods not in any round: {sorted(orphans, key=good_key)}")
+    return TemporalInstance(n, len(rounds), goods, buffer)
 
 
 def allocation_to_json(allocation: TemporalAllocation) -> dict:
-    return {
-        "placement": dict(sorted(
-            allocation.placement.items(), key=lambda kv: good_key(kv[0])
-        )),
-        "owner": dict(sorted(
-            allocation.owner.items(), key=lambda kv: good_key(kv[0])
-        )),
-    }
+    return {field: dict(sorted(getattr(allocation, field).items(), key=lambda kv: good_key(kv[0])))
+            for field in ("placement", "owner")}
 
 
 def allocation_from_json(data: dict) -> TemporalAllocation:

@@ -20,7 +20,7 @@ from math import prod
 
 from .errors import SearchCapExceeded
 from .fairness import REMOVAL, Concept, _int_share, _worth, envy_rows, fold, prefix_violation
-from .model import TemporalAllocation, TemporalInstance, allocation_to_json, good_key
+from .model import TemporalAllocation, TemporalInstance, allocation_to_json
 
 
 # 3^14 assignments is the reference budget; caps for other agent counts
@@ -104,8 +104,10 @@ def search(
     The outcome, the first witness and the count are those of the search
     without this memo, which lives for one call.
     """
-    goods = sorted(instance.goods, key=lambda g: (g.arrival, good_key(g.id)))
-    m = len(goods)
+    # arrival order, then good_key order within a round
+    ids = sorted(instance.arrival, key=lambda g: (instance.arrival[g], len(g), g))
+    arrivals = list(map(instance.arrival.__getitem__, ids))
+    m = len(ids)
     n = instance.n_agents
     cap = goods_cap(n)
     if m > cap:
@@ -115,23 +117,20 @@ def search(
 
     horizon = instance.horizon
     windows: list[range] = []
-    for g in goods:
+    for a in arrivals:
         if use_scheduling:
-            last = min(g.arrival + instance.buffer - 1, horizon)
+            last = min(a + instance.buffer - 1, horizon)
         else:
-            last = g.arrival
-        windows.append(range(g.arrival, last + 1))
+            last = a
+        windows.append(range(a, last + 1))
     space_bound = prod(n * len(w) for w in windows) if m else 1
 
     # good k closes rounds arrival(k) .. arrival(k+1)-1: no good left to
     # decide can land in them, so their prefixes are final and checkable
-    closes = [
-        range(g.arrival, goods[k + 1].arrival if k + 1 < m else horizon + 1)
-        for k, g in enumerate(goods)
-    ]
+    closes = list(map(range, arrivals, arrivals[1:] + [horizon + 1]))
 
     columns = instance.columns
-    rows = list(zip(*(columns[g.id] for g in goods)))  # agent by agent, in search order
+    rows = list(zip(*map(columns.__getitem__, ids)))  # agent by agent, in search order
     # landed[t]: the (bundle j, good id) hand-outs placed at round t;
     # count[j]: agent j + 1's good count.  For an envy concept, worth[s] is
     # the worth state of round s, for rounds up to the open round.
@@ -145,17 +144,17 @@ def search(
         # round s's pool is every good arriving by s, whoever holds it, so
         # each agent's share of it is computed once, when first asked
         def shares(s: int):
-            arrived = sum(1 for g in goods if g.arrival <= s)
+            arrived = sum(1 for a in arrivals if a <= s)
             return cache(lambda i: _int_share(rows[i][:arrived], n, 16))
 
         worth = [(shares(s), None) for s in range(horizon + 1)]
     # goods with one value vector are interchangeable in every verdict:
     # kind[id] is the index of the first good with that good's vector
     first: dict[tuple, int] = {}
-    kind = {g.id: first.setdefault(columns[g.id], k) for k, g in enumerate(goods)}
+    kind = {g: first.setdefault(columns[g], k) for k, g in enumerate(ids)}
     # exhausted[k]: the states at good k (a round's first) whose subtree
     # holds no witness, each with the decisions that subtree made
-    exhausted: list[dict[tuple, int]] = [{} for _ in goods]
+    exhausted: list[dict[tuple, int]] = [{} for _ in ids]
     nodes = 0
 
     def open_round(s: int) -> None:
@@ -187,9 +186,9 @@ def search(
         nonlocal nodes
         if k == m:
             return True
-        a = goods[k].arrival
+        a = arrivals[k]
         key = memo = None
-        if k and a > goods[k - 1].arrival:
+        if k and a > arrivals[k - 1]:
             memo = exhausted[k]
             if memo:  # no key is built before a state here is exhausted
                 key = state(a)
@@ -198,7 +197,7 @@ def search(
                     return False
             start = nodes
             open_round(a)
-        gid, closing = goods[k].id, closes[k]
+        gid, closing = ids[k], closes[k]
         for t in windows[k]:
             seen_rows = set()
             for j in range(n):

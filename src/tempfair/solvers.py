@@ -42,7 +42,7 @@ def _require(condition: bool, message: str) -> None:
 
 def _allocation(instance, owner, placement=None):
     if placement is None:
-        placement = {g.id: g.arrival for g in instance.goods}
+        placement = instance.arrival
     alloc = TemporalAllocation(placement=dict(placement), owner=dict(owner))
     validate(instance, alloc)
     return alloc

@@ -118,6 +118,25 @@ def test_every_solver_output_passes_its_own_check(tmp_path):
                          "--concept", str(concept)]) == 0, (alg, str(concept))
 
 
+def test_op_paths_build_no_good(tmp_path):
+    # classify, every solver with its own check, and search read the
+    # integer table; none of them builds the Fraction goods
+    from tempfair import Concept, check_temporal, classify, search
+    from tempfair.solvers import SOLVERS
+
+    for alg, gen_args in SOLVER_CASES.items():
+        path = tmp_path / f"{alg}.json"
+        assert main(["gen", *gen_args, "--seed", "11", "-o", str(path)]) == 0
+        instance = load_instance(str(path))
+        classify(instance)
+        allocation = SOLVERS[alg].run(instance)
+        for concept in SOLVERS[alg].concepts(instance):
+            assert check_temporal(instance, allocation, concept).holds
+        if alg == "tefx-genbinary-two":
+            assert search(instance, Concept("tefx"), use_scheduling=True).exists
+        assert "goods" not in vars(instance), alg
+
+
 # the ten cases above plus an odd horizon, whose splits take the
 # pool-split path
 TRACE_CASES = {

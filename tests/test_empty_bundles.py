@@ -104,9 +104,11 @@ def test_no_goods():
         assert (outcome.exists, outcome.nodes_visited, outcome.space_bound) == (True, 0, 1)
     # with no good neither the loader nor a directly built instance cuts
     # rows, so nothing is sized by the agent count: a list of 10**6
-    # references would take 8 MB
+    # references would take 8 MB; nor is the arrival check sized by the
+    # horizon
     for build in (lambda: instance_from_json({"agents": 10**6, "rounds": [[]], "values": {}}),
-                  lambda: TemporalInstance(10**6, 1, ())):
+                  lambda: TemporalInstance(10**6, 1, ()),
+                  lambda: TemporalInstance(1, 10**12, ())):
         tracemalloc.start()
         try:
             many = build()

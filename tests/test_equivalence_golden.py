@@ -5,8 +5,10 @@ and the SHA-256 over their digest lines (case id and SHA-256 of the
 output, as the harness prints them).  The cases are the first ``FIRST``
 that ``equivalence.cases()`` yields for each family: the loaders,
 single-round routines, solvers, ``search`` with node counts and
-``check_temporal`` with witnesses.  The full-size run stays ``tests/equivalence.py
---compare``.
+``check_temporal`` with witnesses.  ``golden/equivalence_full.txt`` holds
+the same two numbers for every family at full size, as
+``PYTHONPATH=src python tests/equivalence.py`` prints them to stderr; CI
+diffs a full run against it, and ``--compare`` stays for diagnosis.
 
 ``PYTHONPATH=src python tests/test_equivalence_golden.py`` rewrites the
 golden file.

@@ -4,7 +4,6 @@ import json
 import time
 from dataclasses import fields
 from fractions import Fraction as F
-from functools import cached_property
 
 import pytest
 
@@ -75,6 +74,22 @@ class TestInstanceConstruction:
     def test_rounds_groups_by_arrival(self):
         inst = make_instance([[(1, 1), (2, 2)], [(3, 3)]])
         assert inst.rounds == (("g1", "g2"), ("g3",))
+        # each round in good_key order, whatever the document's order
+        ids = ["g10", "aa", "\u00e9", "b", "g2", "zz", "\u00e41"]
+        inst = instance_from_json({"agents": 1, "rounds": [ids, ["g1"]],
+                                   "values": dict.fromkeys([*ids, "g1"], ["1"])})
+        assert inst.rounds == (tuple(sorted(ids, key=good_key)), ("g1",))
+        assert inst.rounds[0] == ("b", "\u00e9", "aa", "g2", "zz", "\u00e41", "g10")
+
+    def test_equality_follows_instance_order(self):
+        a, b = Good("a", 1, (F(1), F(1, 2))), Good("b", 2, (F(2), F(0)))
+        forward, backward = TemporalInstance(2, 2, (a, b)), TemporalInstance(2, 2, (b, a))
+        assert forward.rounds == backward.rounds and forward.columns == backward.columns
+        assert forward != backward
+        again = TemporalInstance(2, 2, [a, b])
+        assert forward == again and hash(forward) == hash(again)
+        assert len({forward, backward, again}) == 2
+        assert forward != TemporalInstance(2, 2, (a, b), buffer=2)
 
     def test_value_lookup(self):
         # denominators 2, 3 and 1 give a scale of 6
@@ -479,18 +494,15 @@ def _documents():
 @pytest.mark.parametrize("data", list(_documents()),
                          ids=["str", "int", "twin", "fractions", "no-goods"])
 def test_loaded_tables_equal_the_lazy_ones(data):
-    # the loader fills scale, columns and goods_by_id next to the fields;
-    # direct construction of the same goods computes them on first use
+    # the loader and direct construction of the same goods store the same
+    # fields, and agree on every table built from them
     loaded = instance_from_json(data)
-    filled = {"scale", "columns", "goods_by_id"}
-    assert vars(loaded).keys() == {f.name for f in fields(TemporalInstance)} | filled
-    assert all(type(vars(TemporalInstance)[name]) is cached_property for name in filled)
+    stored = set(vars(loaded))
     direct = TemporalInstance(loaded.n_agents, loaded.horizon, loaded.goods, loaded.buffer)
-    assert not filled & vars(direct).keys()
+    assert set(vars(direct)) == stored == {f.name for f in fields(TemporalInstance)}
     assert direct == loaded
-    assert (direct.scale, direct.columns) == (loaded.scale, loaded.columns)
-    assert direct.goods_by_id == loaded.goods_by_id
-    assert direct.value_table == loaded.value_table
+    for name in ("scale", "columns", "arrival", "rounds", "value_table", "goods", "goods_by_id"):
+        assert getattr(direct, name) == getattr(loaded, name), name
 
 
 def test_load_shares_one_fraction_per_distinct_literal():
@@ -498,5 +510,5 @@ def test_load_shares_one_fraction_per_distinct_literal():
                           values={"g1": [2, "1/2", 2], "g2": ["1/2", 2, " 1/2"]})
     (a, b, c), (d, e, f) = (g.values for g in instance_from_json(data).goods)
     assert a is c is e  # the int literal 2
-    assert b is d and f is not d and f == d  # '1/2' twice, ' 1/2' once
+    assert b is d is f  # '1/2' twice and ' 1/2': one value, one Fraction
 
