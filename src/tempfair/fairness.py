@@ -411,7 +411,8 @@ def prefix_violation(instance, rounds, concept: Concept, rows=None, worth=None):
     """
     if concept.kind == "tmms":
         return _mms_violation(instance, rounds, state=worth)
-    rows = rows or envy_rows(instance.n_agents, concept)  # checks the alphas first
+    if rows is None:
+        rows = envy_rows(instance.n_agents, concept)  # checks the alphas first
     return _envy_violation(*(worth or _worth(instance, rounds, REMOVAL[concept.kind])), rows)
 
 

@@ -93,7 +93,11 @@ def search(
     and backtracking puts the saved state back (a min cannot be popped).
     A round opens once every good that arrives before it is decided: it
     copies the previous round's state and folds the hand-outs listed
-    under it.
+    under it.  At a good that closes its round, the open round's state is
+    checked first: an agent who violates there still does after any
+    hand-out but the good to them at that round, so every other child is
+    counted in ``nodes_visited`` and skipped (forward checking), and all
+    are when a second agent violates too.
 
     Every verdict from round a on, and the empty-agent rule, reads only the
     value vectors each agent holds by round a - 1 and the decided goods
@@ -198,6 +202,12 @@ def search(
             start = nodes
             open_round(a)
         gid, closing = ids[k], closes[k]
+        only = None  # if set, every child but (round a, bundle only) fails
+        if closing and pick and landed[a]:
+            hit = prefix_violation(instance, landed[:a + 1], concept, envy, worth[a])
+            if hit is not None:  # only good k to the envious agent, at round a, can help
+                rest = prefix_violation(instance, landed[:a + 1], concept, envy[hit[0]:], worth[a])
+                only = hit[0] - 1 if rest is None else -1
         for t in windows[k]:
             seen_rows = set()
             for j in range(n):
@@ -206,6 +216,8 @@ def search(
                         continue
                     seen_rows.add(rows[j])
                 nodes += 1
+                if only is not None and (t != a or j != only):
+                    continue  # doomed: it fails at round a, as final_ok would find
                 count[j] += 1
                 landed[t].append((j, gid))
                 if t == a and pick:

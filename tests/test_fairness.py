@@ -20,6 +20,7 @@ from tempfair.fairness import (
     Concept,
     ShareCapExceeded,
     Verdict,
+    _envy_violation,
     _worth,
     check_temporal,
     envy_rows,
@@ -665,3 +666,47 @@ def test_prefix_violation_dispatch():
             assert prefix_violation(inst, rounds, concept, envy_rows(3, concept), worth) == built
             seen.add(built is None)
     assert seen == {True, False}
+
+
+def test_prefix_violation_with_no_rows_checks_no_agent():
+    # an empty row list is a check of no agent, not a request for all rows
+    values = {1: {"a": 1, "b": 0}, 2: {"a": 1, "b": 0}}
+    inst = single_round_instance(values, ["a", "b"], 2)
+    packed = [[(0, "g1"), (0, "g2")]]
+    assert prefix_violation(inst, packed, Concept("tefx")) is not None
+    assert prefix_violation(inst, packed, Concept("tefx"), rows=[]) is None
+    assert prefix_violation(inst, packed, Concept("tefx"), rows=[], worth=_worth(inst, packed, min)) is None
+
+
+def test_an_envious_agent_stays_envious_unless_given_the_good():
+    """The rule search's round-end skip rests on: if agent i violates at a
+    worth state, folding any good into any bundle but i's own leaves i
+    violating.  Folding never lowers total - removal of an entry, under
+    either removal, and only the receiver's own worth rises.  Bundles are
+    often empty, so the removal sentinel is folded over too."""
+    rng = random.Random("envious-stays-envious")
+    seen = set()
+    for _ in range(400):
+        n = rng.randint(2, 4)
+        alphas = tuple(F(rng.randint(1, 4), 4) for _ in range(n))
+        concepts = [Concept("tef1"), Concept("tefx"), Concept("atefx", F(1, 2)),
+                    Concept("atefx", alphas)]
+        goods = rng.randint(1, 5)
+        inst = make_instance([[tuple(rng.randint(0, 5) for _ in range(n)) for _ in range(goods)]])
+        *held, good = sorted(inst.columns, key=good_key)
+        rounds = [[(rng.randrange(n), g) for g in held]]
+        for concept in concepts:
+            envy, pick = envy_rows(n, concept), REMOVAL[concept.kind]
+            total, removal = _worth(inst, rounds, pick)
+            hit = _envy_violation(total, removal, envy)
+            if hit is None:
+                continue
+            i = hit[0]
+            for j in range(n):
+                if j == i - 1:
+                    continue
+                grown = total[:], removal[:]
+                fold(*grown, j, inst.columns[good], pick)
+                assert _envy_violation(*grown, envy[i - 1:i]) is not None, (concept, i, j)
+                seen.add((concept.kind, all(b != j for b, _ in rounds[0])))
+    assert seen == {(kind, empty) for kind in ("tef1", "tefx", "atefx") for empty in (True, False)}

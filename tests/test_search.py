@@ -1,5 +1,6 @@
 """Existence search: pruning soundness, witness validity, determinism."""
 
+import importlib
 import itertools
 import random
 from fractions import Fraction
@@ -15,6 +16,7 @@ from tempfair import (
     search,
 )
 from tempfair.generators import generate
+from tempfair.model import allocation_to_json
 from tempfair.search import goods_cap
 
 
@@ -217,3 +219,39 @@ def test_nonexistence_proofs(days, horizon, concept, nodes):
     out = search(inst, Concept.from_string(concept), use_scheduling=True)
     assert not out.exists and out.witness is None
     assert out.nodes_visited == nodes
+
+
+@pytest.mark.parametrize(
+    "shape,use_scheduling,calls,nodes,bound",
+    [
+        (dict(n_agents=4, horizon=2, goods_per_round=3, value_cap=9, seed=1), False, 111, 253, 4**6),
+        (dict(n_agents=3, horizon=3, goods_per_round=2, value_cap=9, seed=22,
+              identical_valuation=True, buffer=2), True, 267, 1018, 6**4 * 3**2),
+    ],
+    ids=["general-4-agents", "scheduled-identical-valuation-none"],
+)
+def test_round_end_skip_counts(monkeypatch, shape, use_scheduling, calls, nodes, bound):
+    """At a good that closes its round, an agent that already envies at the
+    open round's state dooms every child that does not hand the good to
+    them, so search checks those children no more.  These two searches
+    called ``prefix_violation`` 191 and 345 times before the skip; the
+    outcome, witness and node count are the same as before it."""
+    module = importlib.import_module("tempfair.search")
+    real, made = module.prefix_violation, []
+
+    def counted(*args, **kwargs):
+        made.append(args[2].kind)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, "prefix_violation", counted)
+    inst = generate(**shape)
+    out = search(inst, Concept("tefx"), use_scheduling)
+    assert len(made) == calls and set(made) == {"tefx"}
+    exists, witness = exhaustive_exists(inst, Concept("tefx"), use_scheduling)
+    assert out.to_json() == {
+        "exists": exists,
+        "witness": allocation_to_json(witness) if witness else None,
+        "nodes_visited": nodes,
+        "space_bound": bound,
+    }
+    assert exists is not use_scheduling  # one witness find, one proof of none
