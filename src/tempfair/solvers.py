@@ -642,8 +642,11 @@ def _search_pool_splits(instance, pools, bounds):
     cheapest good each agent sees in the other's pile (what the
     any-good-removal check depends on).  ``_first_plan`` walks the pools,
     each split mask a move; splits failing envy or share checks at their
-    pool's round are pruned.  Each pool holds whole days and lands on the
-    round of its last day, so ``bounds`` sees nothing waiting there.
+    pool's round are pruned.  Agent 1's pile values run from mask to mask
+    like a binary counter, so a split that misses a maximin share is
+    dropped before its minima, key or envy test.  Each pool holds whole
+    days and lands on the round of its last day, so ``bounds`` sees
+    nothing waiting there.
     Returns (good, owner, round) triples, pool by pool in id order, or None.
     """
     v1, v2 = instance.value_table[1], instance.value_table[2]
@@ -652,14 +655,21 @@ def _search_pool_splits(instance, pools, bounds):
 
     def moves(p, state):
         pool = ordered_pools[p]
-        placed = bounds(pools[p][1], idle)
+        placed = (totals, shares) = bounds(pools[p][1], idle)
+        p1, p2 = [v1[g] for g in pool], [v2[g] for g in pool]
+        below1, below2 = list(accumulate(p1, initial=0)), list(accumulate(p2, initial=0))
+        n1v1, n1v2, min2, min1 = state
         tried = set()
         for mask in range(1 << len(pool)):
-            n1v1, n1v2, nmin2, nmin1 = state
+            if mask:  # a binary counter step: goods below `low` leave, `low` joins
+                low = (mask & -mask).bit_length() - 1
+                n1v1 += p1[low] - below1[low]
+                n1v2 += p2[low] - below2[low]
+            if n1v1 < shares[0] or totals[1] - n1v2 < shares[1]:
+                continue  # fails _split_ok's share tests, whatever the minima
+            nmin2, nmin1 = min2, min1
             for idx, g in enumerate(pool):
                 if mask >> idx & 1:
-                    n1v1 += v1[g]
-                    n1v2 += v2[g]
                     if nmin2 is None or v2[g] < nmin2:
                         nmin2 = v2[g]
                 elif nmin1 is None or v1[g] < nmin1:

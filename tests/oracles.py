@@ -1,7 +1,9 @@
 """Brute-force definitional fairness oracles shared by the test modules.
 
 Deliberately naive: plain loops straight from the definitions, no reuse of
-library code, small inputs only.
+library code, small inputs only.  The one exception is
+``reference_pool_splits``, the two-agent split search's plain mask loop,
+kept as the reference for the pruned loop in the library.
 """
 
 import itertools
@@ -236,3 +238,44 @@ def naive_envy_cycle_elimination(goods, values, agents):
         _naive_step(trace, receiver, g, "ece-max")
     decycle()
     return bundles, trace, rotations
+
+
+def reference_pool_splits(instance, pools, bounds):
+    """``solvers._search_pool_splits`` with every mask walked good by good:
+    each split's key is built from scratch and goes to ``_split_ok``, and
+    only the ``tried`` set skips a repeated key.  Same arguments and
+    result: (good, owner, round) triples, or None."""
+    from tempfair.model import good_key
+    from tempfair.solvers import _by_vector, _first_plan, _split_ok
+
+    v1, v2 = instance.value_table[1], instance.value_table[2]
+    ordered_pools = [sorted(pool, key=good_key) for pool, _ in pools]
+    idle = (0,) * len(_by_vector(instance, instance.rounds[0]))
+
+    def moves(p, state):
+        pool = ordered_pools[p]
+        placed = bounds(pools[p][1], idle)
+        tried = set()
+        for mask in range(1 << len(pool)):
+            n1v1, n1v2, nmin2, nmin1 = state
+            for idx, g in enumerate(pool):
+                if mask >> idx & 1:
+                    n1v1 += v1[g]
+                    n1v2 += v2[g]
+                    if nmin2 is None or v2[g] < nmin2:
+                        nmin2 = v2[g]
+                elif nmin1 is None or v1[g] < nmin1:
+                    nmin1 = v1[g]
+            key = (n1v1, n1v2, nmin2, nmin1)
+            if key in tried:
+                continue
+            tried.add(key)
+            if _split_ok(*placed, *key):
+                yield mask, key
+
+    plan = _first_plan(len(ordered_pools), moves, (0, 0, None, None))
+    if plan is None:
+        return None
+    return [(g, 1 if mask >> idx & 1 else 2, target)
+            for (_, target), pool, mask in zip(pools, ordered_pools, plan)
+            for idx, g in enumerate(pool)]

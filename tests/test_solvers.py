@@ -9,17 +9,27 @@ from fractions import Fraction as F
 
 import pytest
 
+from tempfair import solvers
 from tempfair.errors import PreconditionError, SolverFailure
 from tempfair.fairness import check_temporal
 from tempfair.generators import generate
 from tempfair.model import TemporalInstance, prefix
 from tempfair.solvers import SOLVERS, _first_plan
 
-from oracles import naive_efx, naive_mms_share, values_of
+from oracles import naive_efx, naive_mms_share, reference_pool_splits, values_of
 
 
 def make_instance(value_rounds, buffer=1):
     return TemporalInstance.from_value_rounds(value_rounds, buffer=buffer)
+
+
+def pool_splits(instance, search=solvers._search_pool_splits):
+    """The two-agent solver's pool-split triples on an odd horizon, from
+    ``search`` (the solver's own by default)."""
+    T = instance.horizon
+    pools = [(instance.rounds[0], 1)] + [
+        (instance.rounds[t - 2] + instance.rounds[t - 1], t) for t in range(3, T + 1, 2)]
+    return search(instance, pools, solvers._placed_bounds(instance))
 
 
 def certify(name, instance):
@@ -471,6 +481,35 @@ class TestScheduledTwoAgents:
             window_cases += trace[0]["rule"] == "window-split"
             if window_cases == 3:
                 break
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_pool_splits_match_the_plain_mask_loop(self, seed):
+        # the share slot's shape: odd horizons 7-11, five goods a day, buffer 2
+        instance = generate(2, 7 + 2 * (seed % 3), 5, 20, seed, identical_days=True, buffer=2)
+        assert pool_splits(instance) == pool_splits(instance, reference_pool_splits)
+
+    @pytest.mark.parametrize("instance, stages", [
+        # seed 368 runs stage 1 dry and the walk backs up to stage 0
+        (generate(2, 11, 5, 20, 368, identical_days=True, buffer=2), [1]),
+        # days {5, 7}: every stage runs dry, and no pool split passes
+        (make_instance([[(5, 5), (7, 7)]] * 7, buffer=2), [3, 3, 2, 2, 1, 1, 0]),
+    ], ids=["backs-up", "exhausts"])
+    def test_pool_splits_match_when_stages_run_dry(self, instance, stages, monkeypatch):
+        dry = []
+        first_plan = solvers._first_plan
+
+        def watched(depth, moves, start):
+            def stage(p, state):
+                yield from moves(p, state)
+                dry.append(p)
+            return first_plan(depth, stage, start)
+
+        monkeypatch.setattr(solvers, "_first_plan", watched)
+        placed = pool_splits(instance)
+        assert dry == stages
+        monkeypatch.setattr(solvers, "_first_plan", first_plan)
+        assert placed == pool_splits(instance, reference_pool_splits)
+        assert (placed is None) == (stages[-1] == 0)
 
     def test_wider_buffer_reaches_two_round_waits(self):
         # the days above do admit an allocation once goods may wait two

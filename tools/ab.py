@@ -12,12 +12,12 @@ else of the benchmark is used.  The parent tree generates the instances,
 once, into a temporary directory.
 
 A batch runs every op of the case list through each side's ``cli.main``
-with ``-o`` files, the two sides one after the other on each op.  The side
-that goes first alternates op by op, and the side that starts a batch
-alternates from batch to batch (Kalibera and Jones, "Rigorous Benchmarking
-in Reasonable Time", ISMM 2013).  Each batch starts with both sides' share
-memo cleared.  After each batch, outside the timed region, every answer of
-both sides is compared with the recorded one.
+with ``-o`` files named by batch, the two sides one after the other on each
+op.  The side that goes first alternates op by op, and the side that starts
+a batch alternates from batch to batch (Kalibera and Jones, "Rigorous
+Benchmarking in Reasonable Time", ISMM 2013).  Each batch starts with both
+sides' share memo cleared.  After each batch, outside the timed region,
+every answer of both sides is compared with the recorded one.
 
 The report gives, per op label (the op and its concept or solver), each
 side's summed op time over all batches, the change/parent ratio, the p50
@@ -164,8 +164,10 @@ def run_batch(workloads, cases, paths, sides: list[Side], batch: int) -> list:
             order = sides if turn % 2 == 0 else sides[::-1]
             turn += 1
             for side in order:
-                out = side.workdir / f"c{k}.o{j}.json"
-                alloc = side.workdir / f"c{k}.alloc.json"
+                # new names each batch: rewriting a file just written can
+                # stall the op on a flush of the old contents
+                out = side.workdir / f"b{batch}.c{k}.o{j}.json"
+                alloc = side.workdir / f"b{batch}.c{k}.alloc.json"
                 rc = raised = None
                 t0 = perf_counter()
                 try:
