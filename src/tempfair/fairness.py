@@ -31,6 +31,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .errors import ShareCapExceeded, ValidationError
@@ -147,12 +148,33 @@ def fold(total, removal, j, column, pick):
             e += n
 
 
+def folded(worth, j, column, pick, kind=None):
+    """``fold`` into a copy of a worth state, made of lists, or of ``kind`` if given."""
+    total, removal = [*worth[0]], [*worth[1]]
+    fold(total, removal, j, column, pick)
+    return (kind(total), kind(removal)) if kind else (total, removal)
+
+
+def _own_worth(worth, n):
+    """Each agent's total of their own bundle, in agent order."""
+    return worth[0][::n + 1]
+
+
+def _worth_entry(worth, n, i, j):
+    """Agent i's (total, removal) of bundle j, both counted from 1."""
+    return worth[0][(i - 1) * n + j - 1], worth[1][(i - 1) * n + j - 1]
+
+
+def _worth_of_views(totals, removals):
+    """A worth state of tuples: agent i + 1 sees bundle j + 1 as totals[i][j], removals[i][j]."""
+    return tuple(chain(*totals)), tuple(chain(*removals))
+
+
 def _worth(instance, rounds, pick):
     """The worth state of rounds of hand-outs, each good's column of
-    ``instance.columns`` folded once: lists ``total`` and ``removal`` of
-    n * n ints, entry i * n + j for agent i + 1's view of bundle j + 1.  An
-    empty bundle's removal, a sentinel the first fold replaces (0 under
-    max, the top value under min), keeps total - removal <= 0."""
+    ``instance.columns`` folded once: lists of n * n totals and removals,
+    entry i * n + j for agent i + 1's view of bundle j + 1 (a layout no
+    other module reads), an empty bundle's removal 0 under max, the top value under min."""
     n, columns = instance.n_agents, instance.columns
     top = 0 if pick is max else max(map(max, columns.values()), default=0)
     total, removal = [0] * (n * n), [top] * (n * n)
@@ -405,7 +427,7 @@ def prefix_violation(instance, rounds, concept: Concept, rows=None, worth=None):
     hand-outs.  A violation is ``(envious, envied, gap, den)``, shortfall
     gap/(den*scale); a share-based one has no envied agent.  Callers that
     examine many prefixes pass ``envy_rows`` once as ``rows`` and the
-    prefix's grown state as ``worth``: ``(total, removal)`` for an envy
+    prefix's grown state as ``worth``: a worth state (``_worth``) for an envy
     concept, ``_mms_violation``'s ``(share, have)`` for ``tmms``.  Without
     them both are read here, the state from ``rounds``.
     """
@@ -464,7 +486,7 @@ def check_temporal(
             envious, envied, gap, den = hit
             removed = None if envied is None else min(
                 (g for handouts in rounds for j, g in handouts if j == envied - 1
-                 and columns[g][envious - 1] == worth[1][(envious - 1) * n + envied - 1]),
+                 and columns[g][envious - 1] == _worth_entry(worth, n, envious, envied)[1]),
                 key=good_key)
             return Verdict(holds=False, round=t, envious=envious, envied=envied,
                            removed_good=removed, shortfall=Fraction(gap, den * instance.scale))

@@ -19,7 +19,7 @@ from functools import cache
 from math import prod
 
 from .errors import SearchCapExceeded
-from .fairness import REMOVAL, Concept, _int_share, _worth, envy_rows, fold, prefix_violation
+from .fairness import REMOVAL, Concept, _int_share, _worth, envy_rows, folded, prefix_violation
 from .model import TemporalAllocation, TemporalInstance, allocation_to_json
 
 
@@ -87,17 +87,15 @@ def search(
     the hand-outs of rounds 1..t, which the share test reads directly.
     Without scheduling that pool is every good arriving by t, so each
     agent's share of it is computed at most once per call.
-    For an envy concept, rounds up to the open round (the arrival round of
-    the good being decided) also hold a worth state (``fairness._worth``).
-    A good placed at the open round is folded into a copy of its state,
-    and backtracking puts the saved state back (a min cannot be popped).
-    A round opens once every good that arrives before it is decided: it
-    copies the previous round's state and folds the hand-outs listed
-    under it.  At a good that closes its round, the open round's state is
-    checked first: an agent who violates there still does after any
-    hand-out but the good to them at that round, so every other child is
-    counted in ``nodes_visited`` and skipped (forward checking), and all
-    are when a second agent violates too.
+    For an envy concept, rounds up to the open round (the arrival round of the
+    good being decided) also hold a worth state, never changed in place: a
+    good placed at the open round is folded into a copy (``fairness.folded``).
+    A round opens when the round before it passes its final check, with the
+    hand-outs listed under it folded in.  At a good that closes its round, the
+    open round's state is checked first: an agent who violates there still
+    does after any hand-out but the good to them at that round, so every other
+    child is counted in ``nodes_visited`` and skipped (forward checking), and
+    all are when a second agent violates too.
 
     Every verdict from round a on, and the empty-agent rule, reads only the
     value vectors each agent holds by round a - 1 and the decided goods
@@ -135,15 +133,14 @@ def search(
 
     columns = instance.columns
     rows = list(zip(*map(columns.__getitem__, ids)))  # agent by agent, in search order
-    # landed[t]: the (bundle j, good id) hand-outs placed at round t;
-    # count[j]: agent j + 1's good count.  For an envy concept, worth[s] is
-    # the worth state of round s, for rounds up to the open round.
-    landed: list[list[tuple[int, str]]] = [[] for _ in range(horizon + 1)]
+    # landed[t]: the (bundle j, good id) hand-outs placed at round t; count[j]:
+    # agent j + 1's good count; for an envy concept, worth[t]: round t's worth
+    # state up to the open round, at first one empty state; both reach horizon + 1.
+    landed: list[list[tuple[int, str]]] = [[] for _ in range(horizon + 2)]
     count = [0] * n
     pick = REMOVAL.get(concept.kind)
     envy = envy_rows(n, concept) if pick else None
-    # one empty state for every round: each fold goes into a fresh copy
-    worth = [_worth(instance, [], pick) if pick else None] * (horizon + 1)
+    worth = [_worth(instance, [], pick) if pick else None] * (horizon + 2)
     if concept.kind == "tmms" and not use_scheduling:
         # round s's pool is every good arriving by s, whoever holds it, so
         # each agent's share of it is computed once, when first asked
@@ -161,21 +158,16 @@ def search(
     exhausted: list[dict[tuple, int]] = [{} for _ in ids]
     nodes = 0
 
-    def open_round(s: int) -> None:
-        """Give round s a worth state: round s - 1's plus the hand-outs at s."""
-        if pick:
-            total, removal = worth[s] = (worth[s - 1][0][:], worth[s - 1][1][:])
-            for j, g in landed[s]:
-                fold(total, removal, j, columns[g], pick)
-
-    def final_ok(k: int, a: int) -> bool:
-        """No violation at the rounds good k closes, opening each past a."""
+    def final_ok(k: int) -> bool:
+        """No violation at the rounds good k closes; each that passes opens the next."""
         for s in closes[k]:
-            if s > a:
-                open_round(s)
             if landed[s] and prefix_violation(
                     instance, landed[:s + 1], concept, envy, worth[s]) is not None:
                 return False
+            if pick:
+                worth[s + 1] = worth[s]
+                for j, g in landed[s + 1]:
+                    worth[s + 1] = folded(worth[s + 1], j, columns[g], pick)
         return True
 
     def state(a: int) -> tuple:
@@ -200,13 +192,12 @@ def search(
                     nodes += memo[key]
                     return False
             start = nodes
-            open_round(a)
-        gid, closing = ids[k], closes[k]
+        gid, closing, here = ids[k], closes[k], worth[a]
         only = None  # if set, every child but (round a, bundle only) fails
         if closing and pick and landed[a]:
-            hit = prefix_violation(instance, landed[:a + 1], concept, envy, worth[a])
+            hit = prefix_violation(instance, landed[:a + 1], concept, envy, here)
             if hit is not None:  # only good k to the envious agent, at round a, can help
-                rest = prefix_violation(instance, landed[:a + 1], concept, envy[hit[0]:], worth[a])
+                rest = prefix_violation(instance, landed[:a + 1], concept, envy[hit[0]:], here)
                 only = hit[0] - 1 if rest is None else -1
         for t in windows[k]:
             seen_rows = set()
@@ -220,16 +211,12 @@ def search(
                     continue  # doomed: it fails at round a, as final_ok would find
                 count[j] += 1
                 landed[t].append((j, gid))
-                if t == a and pick:
-                    saved = worth[a]
-                    total, removal = worth[a] = (saved[0][:], saved[1][:])
-                    fold(total, removal, j, columns[gid], pick)
-                if (not closing or final_ok(k, a)) and descend(k + 1):
+                if pick:  # round a's state, as it was on entry unless t == a
+                    worth[a] = folded(here, j, columns[gid], pick) if t == a else here
+                if (not closing or final_ok(k)) and descend(k + 1):
                     return True
                 count[j] -= 1
                 landed[t].pop()
-                if t == a and pick:
-                    worth[a] = saved
         if memo is not None:  # the state is as on entry again
             memo[key or state(a)] = nodes - start
         return False

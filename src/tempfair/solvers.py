@@ -19,7 +19,8 @@ from itertools import accumulate
 from typing import Callable, Sequence
 
 from .errors import PreconditionError, SolverFailure
-from .fairness import Concept, _TwoShares, _envy_violation, _int_share, envy_rows, fold
+from .fairness import (Concept, _TwoShares, _envy_violation, _int_share, _own_worth,
+                       _worth_of_views, envy_rows, folded)
 from .model import (
     TemporalAllocation,
     TemporalInstance,
@@ -214,11 +215,9 @@ def solve_half_tefx_genbinary(instance: TemporalInstance, trace=None) -> Tempora
     returned allocation is fair by construction; if every routing dead
     ends, SolverFailure is raised rather than returning a bad allocation.
     ``_first_plan`` walks the goods, one stage per good and no depth
-    limit; the state is the worth state of ``fold`` in units of b, its
-    lists as tuples, with the cheapest good as each bundle's removal (1,
-    above every unit, while the bundle is empty).  A stage holds only its
-    try order and the state it was entered with; ``step`` folds each try
-    and checks the round end in scratch lists that die before the yield.
+    limit, on a worth state of tuples in units of b whose empty bundles
+    hold removal 1, above every unit.  A stage holds only its try order
+    and the state it was entered with; each try folds into its own copy.
     """
     setting = classify(instance)
     _require(setting.generalized_binary, "needs all values in {0, b}")
@@ -242,7 +241,7 @@ def solve_half_tefx_genbinary(instance: TemporalInstance, trace=None) -> Tempora
 
     def tries(k, worth):
         """Good k's receivers in the order to try them."""
-        own = worth[0][::n + 1]  # the diagonal
+        own = _own_worth(worth, n)
         if support[k]:
             hungry = sorted((i for i in support[k] if own[i - 1] == 0),
                             key=lambda i: (supply_after[k][i - 1], i))
@@ -251,23 +250,15 @@ def solve_half_tefx_genbinary(instance: TemporalInstance, trace=None) -> Tempora
             return hungry + fed + [i for i in agents if i not in support[k]]
         return sorted(agents, key=lambda i: (own[i - 1] != 0, -i))
 
-    def step(k, worth, r):
-        """The worth state after good k goes to r, or None when it fails
-        its round-end check."""
-        total, removal = list(worth[0]), list(worth[1])
-        fold(total, removal, r - 1, unit[support[k]], min)
-        if k in round_end and _envy_violation(total, removal, half) is not None:
-            return None
-        return tuple(total), tuple(removal)
-
     def moves(k, worth):
         """Each receiver of good k that passes its round-end check, with
         the worth state after it."""
         for r in tries(k, worth):
-            if (after := step(k, worth, r)) is not None:
+            after = folded(worth, r - 1, unit[support[k]], min, tuple)  # tuples hash
+            if k not in round_end or _envy_violation(*after, half) is None:
                 yield r, after
 
-    picks = _first_plan(len(support), moves, ((0,) * (n * n), (1,) * (n * n)))
+    picks = _first_plan(len(support), moves, _worth_of_views([(0,) * n] * n, [(1,) * n] * n))
     if picks is None:
         raise SolverFailure(
             "no routing keeps every prefix half-envy-free up to any good"
@@ -598,9 +589,9 @@ def _split_ok(totals, shares, a1v1, a1v2, min2_in_a1, min1_in_a2):
     other's pile, None while that pile is empty: it is worth 0, so a
     removal of 0 keeps it unenvied.
     """
-    total = (a1v1, totals[0] - a1v1, a1v2, totals[1] - a1v2)
-    removal = (0, min1_in_a2 or 0, min2_in_a1 or 0, 0)
-    return (_envy_violation(total, removal, _TWO_AGENT_ROWS) is None
+    worth = _worth_of_views(((a1v1, totals[0] - a1v1), (a1v2, totals[1] - a1v2)),
+                            ((0, min1_in_a2 or 0), (min2_in_a1 or 0, 0)))
+    return (_envy_violation(*worth, _TWO_AGENT_ROWS) is None
             and a1v1 >= shares[0] and totals[1] - a1v2 >= shares[1])
 
 

@@ -21,10 +21,13 @@ from tempfair.fairness import (
     ShareCapExceeded,
     Verdict,
     _envy_violation,
+    _own_worth,
     _worth,
+    _worth_entry,
     check_temporal,
     envy_rows,
     fold,
+    folded,
     is_alpha_efx,
     is_ef1,
     is_efx,
@@ -648,8 +651,10 @@ def test_prefix_violation_dispatch():
     even = single_round_instance({1: {"a": 1, "b": 1}, 2: {"a": 1, "b": 1}}, ["a", "b"], 2)
     assert prefix_violation(even, [[(0, "g1")], [(1, "g2")]], Concept("tmms")) is None
     assert prefix_violation(even, [[(0, "g1"), (0, "g2")]], Concept("tmms")) is not None
-    # a worth state grown one good at a time gives the violation of one
-    # folded from the hand-outs
+    # a worth state grown one good at a time, in place or into copies,
+    # gives the violation of one folded from the hand-outs; each copy
+    # leaves the state it was made from as it was, which search relies on
+    # when it puts a round's saved state back
     rng = random.Random(41)
     concepts = [Concept("tef1"), Concept("tefx"), Concept("atefx", (F(1, 2), F(1), F(2, 3)))]
     seen = set()
@@ -660,12 +665,58 @@ def test_prefix_violation_dispatch():
         for concept in concepts:
             pick = REMOVAL[concept.kind]
             worth = _worth(inst, [], pick)
+            copied = _worth(inst, [], pick)
             for gid in rng.sample(sorted(owner), len(owner)):
-                fold(*worth, owner[gid] - 1, [row[gid] for row in inst.value_table.values()], pick)
+                fold(*worth, owner[gid] - 1, inst.columns[gid], pick)
+                before = tuple(map(list, copied))
+                grown = folded(copied, owner[gid] - 1, inst.columns[gid], pick)
+                assert copied == before
+                copied = grown
+            assert worth == copied == _worth(inst, rounds, pick)
             built = prefix_violation(inst, rounds, concept)
             assert prefix_violation(inst, rounds, concept, envy_rows(3, concept), worth) == built
+            assert prefix_violation(inst, rounds, concept, envy_rows(3, concept), copied) == built
             seen.add(built is None)
     assert seen == {True, False}
+
+
+def test_worth_reads_match_bundle_sums_and_picks():
+    # each agent's own worth and every entry (i, j) of a folded state, read
+    # through fairness, against plain per-bundle sums and picks, with some
+    # bundles empty; an empty bundle is never envied under any envy concept
+    rng = random.Random("worth-reads")
+    seen = set()
+    for n in range(1, 5):
+        concepts = {max: [Concept("tef1")],
+                    min: [Concept("tefx"), Concept("atefx", tuple(F(rng.randint(1, 4), 4)
+                                                                   for _ in range(n)))]}
+        for _ in range(40):
+            inst = make_instance([[tuple(rng.randint(0, 5) for _ in range(n))
+                                   for _ in range(rng.randint(1, 5))]])
+            owner = {g: rng.randrange(n) for g in inst.columns}
+            bundles = [[g for g in owner if owner[g] == j] for j in range(n)]
+            for pick in (max, min):
+                worth = _worth(inst, [[(j, g) for g, j in owner.items()]], pick)
+                own = [sum(inst.columns[g][i] for g in bundles[i]) for i in range(n)]
+                assert list(_own_worth(worth, n)) == own
+                for i in range(1, n + 1):
+                    for j in range(1, n + 1):
+                        values = [inst.columns[g][i - 1] for g in bundles[j - 1]]
+                        total, removal = _worth_entry(worth, n, i, j)
+                        assert total == sum(values)
+                        if values:
+                            assert removal == pick(values)
+                        else:
+                            assert total - removal <= 0
+                            seen.add((n, pick))
+                for concept in concepts[pick]:
+                    for row in envy_rows(n, concept):
+                        hit = _envy_violation(*worth, [row])
+                        assert hit is None or bundles[hit[1] - 1], (concept, hit, bundles)
+                # the same reads on a copy made of tuples, as the half-TEFX router keeps
+                frozen = folded(worth, 0, (0,) * n, pick, tuple)
+                assert {frozen} and _own_worth(frozen, n) == tuple(own)  # it hashes
+    assert seen == {(n, pick) for n in range(2, 5) for pick in (max, min)}
 
 
 def test_prefix_violation_with_no_rows_checks_no_agent():
