@@ -429,7 +429,7 @@ def prefix_violation(instance, rounds, concept: Concept, rows=None, worth=None):
     examine many prefixes pass ``envy_rows`` once as ``rows`` and the
     prefix's grown state as ``worth``: a worth state (``_worth``) for an envy
     concept, ``_mms_violation``'s ``(share, have)`` for ``tmms``.  Without
-    them both are read here, the state from ``rounds``.
+    them both are built here; ``rounds`` is read only for a state not given.
     """
     if concept.kind == "tmms":
         return _mms_violation(instance, rounds, state=worth)

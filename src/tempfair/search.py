@@ -161,8 +161,8 @@ def search(
     def final_ok(k: int) -> bool:
         """No violation at the rounds good k closes; each that passes opens the next."""
         for s in closes[k]:
-            if landed[s] and prefix_violation(
-                    instance, landed[:s + 1], concept, envy, worth[s]) is not None:
+            if landed[s] and prefix_violation(instance, landed if pick else landed[:s + 1],
+                                              concept, envy, worth[s]) is not None:
                 return False
             if pick:
                 worth[s + 1] = worth[s]
@@ -195,9 +195,9 @@ def search(
         gid, closing, here = ids[k], closes[k], worth[a]
         only = None  # if set, every child but (round a, bundle only) fails
         if closing and pick and landed[a]:
-            hit = prefix_violation(instance, landed[:a + 1], concept, envy, here)
+            hit = prefix_violation(instance, landed, concept, envy, here)
             if hit is not None:  # only good k to the envious agent, at round a, can help
-                rest = prefix_violation(instance, landed[:a + 1], concept, envy[hit[0]:], here)
+                rest = prefix_violation(instance, landed, concept, envy[hit[0]:], here)
                 only = hit[0] - 1 if rest is None else -1
         for t in windows[k]:
             seen_rows = set()

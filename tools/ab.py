@@ -4,12 +4,21 @@
 
 Run from anywhere; PARENT_SRC and CHANGE_SRC are ``src`` directories that
 each hold a ``tempfair`` package (a second checkout's ``src``, or this
-one's for an A/A run).  Each tree is imported as a package of its own, so
-both live in one process and meet the same machine state.  The cases are
-one batch of the benchmark workload at the seed (``bench/workloads.py``'s
-``draw_cases``), with the answers recorded in ``bench/answers/``; nothing
-else of the benchmark is used.  The parent tree generates the instances,
-once, into a temporary directory.
+one's for an A/A run).  Each tree is imported as a package of its own,
+``tempfair_parent`` and ``tempfair_change``, so both live in one process
+and meet the same machine state.  The cases are one batch of the
+benchmark workload at the seed (``bench/workloads.py``'s ``draw_cases``),
+with the answers recorded in ``bench/answers/``.
+
+The benchmark's own rules come from ``bench/worker.py``: its
+``write_inputs`` writes each instance (and ×3/7 twin) once into a
+temporary directory, its ``op_argv`` builds each op's command line, and
+its ``score`` decides, with ``answer_of``, whether an answer is the
+recorded one, a known defect that no longer raises included.  Importing
+``worker`` puts this checkout's ``src`` first on ``sys.path`` and imports
+``tempfair``; that name is neither side's, so nothing collides.  The
+instances are therefore generated by this checkout's ``generate``, and
+both sides' answers are still checked against ``bench/answers/``.
 
 A batch runs every op of the case list through each side's ``cli.main``
 with ``-o`` files named by batch, the two sides one after the other on each
@@ -44,19 +53,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from time import perf_counter
 
-ROOT = Path(__file__).resolve().parent.parent
-
-
-def load_module(name: str, path: Path, package_dir: Path | None = None):
-    """Import the file at ``path`` as module ``name``; with ``package_dir``,
-    as a package whose submodules are found there."""
-    spec = importlib.util.spec_from_file_location(
-        name, path,
-        submodule_search_locations=None if package_dir is None else [str(package_dir)])
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module  # dataclasses and relative imports look it up
-    spec.loader.exec_module(module)
-    return module
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+import worker  # noqa: E402
+from workloads import BATCH_SECONDS, WORKLOADS  # noqa: E402
 
 
 @dataclass
@@ -68,17 +67,19 @@ class Side:
     workdir: Path
     cli: object = None
     fairness: object = None
-    generators: object = None
     # label -> per batch, that batch's op times in seconds
     times: dict = field(default_factory=dict)
 
     def load(self) -> None:
         package = f"tempfair_{self.name}"
         pkg_dir = self.src / "tempfair"
-        load_module(package, pkg_dir / "__init__.py", pkg_dir)
+        spec = importlib.util.spec_from_file_location(
+            package, pkg_dir / "__init__.py", submodule_search_locations=[str(pkg_dir)])
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[package] = module  # dataclasses and relative imports look it up
+        spec.loader.exec_module(module)
         self.cli = importlib.import_module(f"{package}.cli")
         self.fairness = importlib.import_module(f"{package}.fairness")
-        self.generators = importlib.import_module(f"{package}.generators")
         self.workdir.mkdir()
 
     def clear_memo(self) -> None:
@@ -92,66 +93,11 @@ def label_of(op: list) -> str:
     return " ".join(map(str, op[:2]))
 
 
-def op_argv(op: list, instance: Path, alloc: Path, out: Path) -> list[str]:
-    kind = op[0]
-    if kind == "classify":
-        return ["classify", str(instance), "-o", str(out)]
-    if kind == "solve":
-        return ["solve", str(instance), "--alg", op[1], "-o", str(alloc)]
-    if kind == "check":
-        return ["check", str(instance), str(alloc), "--concept", op[1], "-o", str(out)]
-    if kind == "search":
-        return ["search", str(instance), "--concept", op[1],
-                *(["--schedule"] if op[2] else []), "-o", str(out)]
-    if kind == "verify-paper":
-        return ["verify-paper", "-o", str(out)]
-    raise ValueError(f"unknown op {op!r}")
-
-
-def answer_of(workloads, op: list, rc, raised: str | None, path: Path) -> dict:
-    """The part of an op's output that the recorded answer pins."""
-    if raised is not None:
-        return {"raises": raised}
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, ValueError):
-        return {"exit": rc}
-    doc.pop("format", None)
-    kind = op[0]
-    if kind == "solve":
-        return {"exit": rc, "sha256": workloads.digest(doc)}
-    if kind == "check":
-        doc.pop("concept", None)
-        return {"exit": rc, "verdict": doc}
-    if kind == "search":
-        return {"exit": rc, "exists": doc["exists"], "witness": doc["witness"]}
-    if kind == "verify-paper":
-        for row in doc["fixtures"]:
-            row.pop("seconds", None)
-        return {"exit": rc, **doc}
-    return {"exit": rc, "output": doc}
-
-
-def write_inputs(workloads, generate, cases, inputs: Path) -> list[Path]:
-    """Generate every case's instance once; a twin follows its original."""
-    paths, instance = [], None
-    for k, case in enumerate(cases):
-        if not case.twin:
-            shape = workloads.case_shape(case.slot, case.index)
-            instance = None if shape is None else generate(**shape)
-        path = inputs / f"c{k}.json"
-        if instance is not None:
-            scale = workloads.TWIN_SCALE if case.twin else 1
-            with open(path, "w") as fh:
-                json.dump(workloads.instance_json(instance, scale), fh)
-        paths.append(path)
-    return paths
-
-
-def run_batch(workloads, cases, paths, sides: list[Side], batch: int) -> list:
-    """Time every op on both sides and return the mismatches.  The side
-    that runs an op first alternates op by op, starting with ``sides[0]``."""
+def run_batch(plan, sides: list[Side], batch: int) -> list:
+    """Time every op of ``plan`` (``worker.write_inputs``'s cases and
+    files) on both sides and return the mismatches, each tagged with its
+    side and batch.  The side that runs an op first alternates op by op,
+    starting with ``sides[0]``."""
     for side in sides:
         side.clear_memo()
         for times in side.times.values():
@@ -159,20 +105,21 @@ def run_batch(workloads, cases, paths, sides: list[Side], batch: int) -> list:
     gc.collect()
     sink = io.StringIO()
     outputs, turn = [], 0
-    for k, (case, path) in enumerate(zip(cases, paths)):
-        for j, op in enumerate(case.ops):
+    for k, (case, inputs) in enumerate(plan):
+        for j, (op, expected) in enumerate(zip(case.ops, case.expect)):
             order = sides if turn % 2 == 0 else sides[::-1]
             turn += 1
             for side in order:
                 # new names each batch: rewriting a file just written can
                 # stall the op on a flush of the old contents
                 out = side.workdir / f"b{batch}.c{k}.o{j}.json"
-                alloc = side.workdir / f"b{batch}.c{k}.alloc.json"
+                files = {**inputs, "alloc": side.workdir / f"b{batch}.c{k}.alloc.json"}
+                argv = worker.op_argv(op, files, out)
                 rc = raised = None
                 t0 = perf_counter()
                 try:
                     with contextlib.redirect_stderr(sink):
-                        rc = side.cli.main(op_argv(op, path, alloc, out))
+                        rc = side.cli.main(argv)
                 except Exception as exc:  # a raised op is a result, checked below
                     raised = type(exc).__name__
                 seconds = perf_counter() - t0
@@ -180,17 +127,11 @@ def run_batch(workloads, cases, paths, sides: list[Side], batch: int) -> list:
                 sink.truncate()
                 label = label_of(op)
                 side.times.setdefault(label, [[] for _ in range(batch + 1)])[batch].append(seconds)
-                outputs.append((side, case, op, case.expect[j], rc, raised,
-                                alloc if op[0] == "solve" else out))
-    mismatches = []
-    for side, case, op, expected, rc, raised, out in outputs:
-        actual = answer_of(workloads, op, rc, raised, out)
-        if "raises" in expected and raised is None and rc == 0:
-            continue  # a known defect that no longer raises
-        if actual != expected:
-            mismatches.append({"side": side.name, "batch": batch, "case": case.label,
-                               "op": op, "expected": expected, "actual": actual})
-    return mismatches
+                out_path = files["alloc"] if op[0] == "solve" else out
+                outputs.append((side, (case, op, expected, rc, raised, out_path, seconds)))
+    # one op per score call: score keeps only the first ten mismatches it sees
+    return [{"side": side.name, "batch": batch, **miss}
+            for side, done in outputs for miss in worker.score([done])["mismatches"]]
 
 
 def quantile(values: list[float], q: int) -> float:
@@ -241,12 +182,11 @@ def main(argv=None) -> int:
     if args.batches < 1:
         print("error: --batches must be at least 1", file=sys.stderr)
         return 2
-    workloads = load_module("ab_bench_workloads", ROOT / "bench" / "workloads.py")
-    if args.workload not in workloads.WORKLOADS:
+    if args.workload not in WORKLOADS:
         print(f"error: unknown workload {args.workload!r}", file=sys.stderr)
         return 2
-    answers = workloads.load_answers(args.workload)
-    cases = workloads.draw_cases(args.workload, args.seed, workloads.BATCH_SECONDS, answers)
+    answers = worker.load_answers(args.workload)
+    cases = worker.draw_cases(args.workload, args.seed, BATCH_SECONDS, answers)
 
     with tempfile.TemporaryDirectory(prefix="tempfair-ab-") as tmp:
         parent = Side("parent", args.parent_src.resolve(), Path(tmp) / "parent")
@@ -255,11 +195,11 @@ def main(argv=None) -> int:
         change.load()
         inputs = Path(tmp) / "inputs"
         inputs.mkdir()
-        paths = write_inputs(workloads, parent.generators.generate, cases, inputs)
+        plan = worker.write_inputs(cases, inputs)
         mismatches = []
         for batch in range(args.batches):
             first = [parent, change] if batch % 2 == 0 else [change, parent]
-            mismatches += run_batch(workloads, cases, paths, first, batch)
+            mismatches += run_batch(plan, first, batch)
 
     rows = summary(parent, change)
     print(f"{args.workload}  seed {args.seed}  {args.batches} batches  "
