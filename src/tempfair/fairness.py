@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
 from typing import Iterable, Sequence
 
 from .errors import ShareCapExceeded, ValidationError
@@ -165,11 +164,6 @@ def _worth_entry(worth, n, i, j):
     return worth[0][(i - 1) * n + j - 1], worth[1][(i - 1) * n + j - 1]
 
 
-def _worth_of_views(totals, removals):
-    """A worth state of tuples: agent i + 1 sees bundle j + 1 as totals[i][j], removals[i][j]."""
-    return tuple(chain(*totals)), tuple(chain(*removals))
-
-
 def _worth(instance, rounds, pick):
     """The worth state of rounds of hand-outs, each good's column of
     ``instance.columns`` folded once: lists of n * n totals and removals,
@@ -222,6 +216,24 @@ def _envy_violation(total, removal, rows):
             if num * (total[e] - removal[e]) > mine:
                 return (i, e - view.start + 1, num * (total[e] - removal[e]) - mine, den)
     return None
+
+
+_TWO_AGENT_ROWS = envy_rows(2, Concept("tefx"))
+
+
+def _split_ok(totals, shares, a1v1, a1v2, min2_in_a1, min1_in_a2):
+    """Two-agent envy-freeness up to any good plus maximin shares.
+
+    ``totals`` and ``shares`` hold each agent's value of the placed pool
+    and maximin share of it; the ``a1`` values are both agents' values of
+    agent 1's pile, and the minima are each agent's cheapest good in the
+    other's pile, None while that pile is empty: it is worth 0, so a
+    removal of 0 keeps it unenvied.  The four views form one worth state.
+    """
+    total = (a1v1, totals[0] - a1v1, a1v2, totals[1] - a1v2)
+    removal = (0, min1_in_a2 or 0, min2_in_a1 or 0, 0)
+    return (_envy_violation(total, removal, _TWO_AGENT_ROWS) is None
+            and a1v1 >= shares[0] and totals[1] - a1v2 >= shares[1])
 
 
 def is_ef1(instance: TemporalInstance, bundles: Bundles) -> bool:

@@ -88,14 +88,14 @@ def search(
     Without scheduling that pool is every good arriving by t, so each
     agent's share of it is computed at most once per call.
     For an envy concept, rounds up to the open round (the arrival round of the
-    good being decided) also hold a worth state, never changed in place: a
-    good placed at the open round is folded into a copy (``fairness.folded``).
-    A round opens when the round before it passes its final check, with the
-    hand-outs listed under it folded in.  At a good that closes its round, the
-    open round's state is checked first: an agent who violates there still
-    does after any hand-out but the good to them at that round, so every other
-    child is counted in ``nodes_visited`` and skipped (forward checking), and
-    all are when a second agent violates too.
+    good being decided) also hold a worth state, never changed in place: a good
+    placed at the open round is folded into a copy (``fairness.folded``).  A
+    round opens, its hand-outs folded into the state before it, only once the
+    search enters it, past the memo lookup at its first good.  At a good that
+    closes its round, the open round's state is checked first: an agent who
+    violates there still does after any hand-out but the good to them at that
+    round, so every other child is counted in ``nodes_visited`` and skipped
+    (forward checking), and all are when a second agent violates too.
 
     Every verdict from round a on, and the empty-agent rule, reads only the
     value vectors each agent holds by round a - 1 and the decided goods
@@ -135,12 +135,12 @@ def search(
     rows = list(zip(*map(columns.__getitem__, ids)))  # agent by agent, in search order
     # landed[t]: the (bundle j, good id) hand-outs placed at round t; count[j]:
     # agent j + 1's good count; for an envy concept, worth[t]: round t's worth
-    # state up to the open round, at first one empty state; both reach horizon + 1.
-    landed: list[list[tuple[int, str]]] = [[] for _ in range(horizon + 2)]
+    # state up to the open round, at first one empty state.
+    landed: list[list[tuple[int, str]]] = [[] for _ in range(horizon + 1)]
     count = [0] * n
     pick = REMOVAL.get(concept.kind)
     envy = envy_rows(n, concept) if pick else None
-    worth = [_worth(instance, [], pick) if pick else None] * (horizon + 2)
+    worth = [_worth(instance, [], pick) if pick else None] * (horizon + 1)
     if concept.kind == "tmms" and not use_scheduling:
         # round s's pool is every good arriving by s, whoever holds it, so
         # each agent's share of it is computed once, when first asked
@@ -158,16 +158,20 @@ def search(
     exhausted: list[dict[tuple, int]] = [{} for _ in ids]
     nodes = 0
 
+    def open_round(s: int) -> None:
+        """Round s's worth state: round s - 1's, with landed[s] folded in."""
+        worth[s] = worth[s - 1]
+        for j, g in landed[s]:
+            worth[s] = folded(worth[s], j, columns[g], pick)
+
     def final_ok(k: int) -> bool:
-        """No violation at the rounds good k closes; each that passes opens the next."""
+        """No violation at the rounds good k closes, each after its first opened."""
         for s in closes[k]:
+            if pick and s > closes[k].start:
+                open_round(s)
             if landed[s] and prefix_violation(instance, landed if pick else landed[:s + 1],
                                               concept, envy, worth[s]) is not None:
                 return False
-            if pick:
-                worth[s + 1] = worth[s]
-                for j, g in landed[s + 1]:
-                    worth[s + 1] = folded(worth[s + 1], j, columns[g], pick)
         return True
 
     def state(a: int) -> tuple:
@@ -192,6 +196,8 @@ def search(
                     nodes += memo[key]
                     return False
             start = nodes
+            if pick:
+                open_round(a)
         gid, closing, here = ids[k], closes[k], worth[a]
         only = None  # if set, every child but (round a, bundle only) fails
         if closing and pick and landed[a]:

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 from .errors import PreconditionError, SolverFailure
 from .fairness import (Concept, _TwoShares, _envy_violation, _int_share, _own_worth,
-                       _worth_of_views, envy_rows, folded)
+                       _split_ok, _worth, envy_rows, folded)
 from .model import (
     TemporalAllocation,
     TemporalInstance,
@@ -215,9 +215,9 @@ def solve_half_tefx_genbinary(instance: TemporalInstance, trace=None) -> Tempora
     returned allocation is fair by construction; if every routing dead
     ends, SolverFailure is raised rather than returning a bad allocation.
     ``_first_plan`` walks the goods, one stage per good and no depth
-    limit, on a worth state of tuples in units of b whose empty bundles
-    hold removal 1, above every unit.  A stage holds only its try order
-    and the state it was entered with; each try folds into its own copy.
+    limit, on a worth state of tuples of the table integers, from
+    ``_worth``'s empty state.  A stage holds only its try order and the
+    state it was entered with; each try folds into its own copy.
     """
     setting = classify(instance)
     _require(setting.generalized_binary, "needs all values in {0, b}")
@@ -225,11 +225,11 @@ def solve_half_tefx_genbinary(instance: TemporalInstance, trace=None) -> Tempora
     n = instance.n_agents
     supports = _supports(instance)
     support = list(supports.values())
+    columns = list(map(instance.columns.__getitem__, supports))
     # each round's last good, as its index in arrival order
     round_end = {k - 1 for k in accumulate(map(len, instance.rounds))}
     # per good, as tuples: its wanting agents and each agent's supply of
-    # wanted goods after it; per support, its column in units of b
-    unit = {s: tuple(int(i in s) for i in agents) for s in set(support)}
+    # wanted goods after it
     supply_after = []
     running = [0] * n
     for s in reversed(support):
@@ -254,11 +254,11 @@ def solve_half_tefx_genbinary(instance: TemporalInstance, trace=None) -> Tempora
         """Each receiver of good k that passes its round-end check, with
         the worth state after it."""
         for r in tries(k, worth):
-            after = folded(worth, r - 1, unit[support[k]], min, tuple)  # tuples hash
+            after = folded(worth, r - 1, columns[k], min, tuple)  # tuples hash
             if k not in round_end or _envy_violation(*after, half) is None:
                 yield r, after
 
-    picks = _first_plan(len(support), moves, _worth_of_views([(0,) * n] * n, [(1,) * n] * n))
+    picks = _first_plan(len(support), moves, tuple(map(tuple, _worth(instance, [], min))))
     if picks is None:
         raise SolverFailure(
             "no routing keeps every prefix half-envy-free up to any good"
@@ -575,24 +575,6 @@ def _placed_bounds(instance):
         return memo[key]
 
     return bounds
-
-
-_TWO_AGENT_ROWS = envy_rows(2, Concept("tefx"))
-
-
-def _split_ok(totals, shares, a1v1, a1v2, min2_in_a1, min1_in_a2):
-    """Two-agent envy-freeness up to any good plus maximin shares.
-
-    ``totals`` and ``shares`` hold each agent's value of the placed pool
-    and maximin share of it; the ``a1`` values are both agents' values of
-    agent 1's pile, and the minima are each agent's cheapest good in the
-    other's pile, None while that pile is empty: it is worth 0, so a
-    removal of 0 keeps it unenvied.
-    """
-    worth = _worth_of_views(((a1v1, totals[0] - a1v1), (a1v2, totals[1] - a1v2)),
-                            ((0, min1_in_a2 or 0), (min2_in_a1 or 0, 0)))
-    return (_envy_violation(*worth, _TWO_AGENT_ROWS) is None
-            and a1v1 >= shares[0] and totals[1] - a1v2 >= shares[1])
 
 
 def _first_plan(depth, moves, start):
