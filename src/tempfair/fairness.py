@@ -127,6 +127,7 @@ class Verdict:
 # how each envy concept keeps its binding removal: up to one good removes
 # the best good, up to any good the cheapest
 REMOVAL = {"tef1": max, "tefx": min, "atefx": min}
+SHARE_CAP = 16  # the most goods, zeros included, a share of 3+ parts searches by default
 
 
 def fold(total, removal, j, column, pick):
@@ -227,11 +228,11 @@ def _split_ok(totals, shares, a1v1, a1v2, min2_in_a1, min1_in_a2):
     ``totals`` and ``shares`` hold each agent's value of the placed pool
     and maximin share of it; the ``a1`` values are both agents' values of
     agent 1's pile, and the minima are each agent's cheapest good in the
-    other's pile, None while that pile is empty: it is worth 0, so a
-    removal of 0 keeps it unenvied.  The four views form one worth state.
+    other's pile, any value while that pile is empty: it is worth 0, so
+    no removal makes it envied.  The four views form one worth state.
     """
     total = (a1v1, totals[0] - a1v1, a1v2, totals[1] - a1v2)
-    removal = (0, min1_in_a2 or 0, min2_in_a1 or 0, 0)
+    removal = (0, min1_in_a2, min2_in_a1, 0)
     return (_envy_violation(total, removal, _TWO_AGENT_ROWS) is None
             and a1v1 >= shares[0] and totals[1] - a1v2 >= shares[1])
 
@@ -259,7 +260,7 @@ def is_alpha_efx(instance: TemporalInstance, bundles: Bundles, alpha) -> bool:
     return prefix_violation(instance, _per_agent(instance, bundles), concept) is None
 
 
-def mms_share(values: Sequence[int | Fraction], n_parts: int, cap: int | None = 16) -> Fraction:
+def mms_share(values: Sequence[int | Fraction], n_parts: int, cap: int | None = SHARE_CAP) -> Fraction:
     """Maximin share of one agent over a pool, split into n_parts bundles.
 
     ``values`` lists the agent's values for every good in the pool: ints and
@@ -361,26 +362,27 @@ def _mms_share_search(vals: tuple[int, ...], n_parts: int) -> int:
     return best
 
 
-class _TwoShares:
-    """Two-part maximin shares of a growing pool, one per agent.
+class _GrownShares:
+    """Maximin shares of a growing pool, one per agent, in ``parts`` parts.
 
     ``columns[i]`` lists agent i + 1's values of every good the pool will
-    ever hold.  Per agent: the GCD of that column, which divides every
-    prefix's values; the running total ``total[i]``; and the subset sums
-    reached, in GCD units, as a bitset truncated at half the final total
-    (Bellman's recursion, as in ``_mms_share_search``).  A share is the
-    highest set bit at or below half the current total, times the GCD.
-    Past the bitset width ``_mms_share_search`` allows, an agent keeps the
-    pool's values for ``_int_share`` instead.
+    ever hold.  Per agent: the running total ``total[i]`` and, for two
+    parts, the GCD of the column, which divides every prefix's values, and
+    the subset sums reached, in GCD units, as a bitset truncated at half
+    the final total (Bellman's recursion, as in ``_mms_share_search``).  A
+    share is the highest set bit at or below half the current total, times
+    the GCD.  Past the bitset width ``_mms_share_search`` allows, or for
+    other part counts, an agent keeps the pool for ``_int_share`` instead.
     """
 
-    def __init__(self, columns):
+    def __init__(self, columns, parts=2):
+        self.parts = parts
         self.gcd = [math.gcd(*column) or 1 for column in columns]
         self.total = [0] * len(columns)
         self.reach, self.mask, self.pool = [], [], []
         for column, gcd in zip(columns, self.gcd):
             half = sum(column) // gcd // 2
-            wide = half >> 6 > 1 << sum(1 for v in column if v)
+            wide = parts != 2 or half >> 6 > 1 << sum(1 for v in column if v)
             self.reach.append(1)
             self.mask.append(None if wide else (2 << half) - 1)
             self.pool.append([] if wide else None)
@@ -395,14 +397,14 @@ class _TwoShares:
                 self.reach[i] |= (self.reach[i] << v // self.gcd[i]) & self.mask[i]
 
     def share(self, i):
-        """Agent i + 1's two-part maximin share of the pool so far."""
+        """Agent i + 1's maximin share of the pool so far."""
         if self.pool[i] is not None:
-            return _int_share(self.pool[i], 2, None)
+            return _int_share(self.pool[i], self.parts, SHARE_CAP)
         half = self.total[i] // self.gcd[i] // 2
         return ((self.reach[i] & ((2 << half) - 1)).bit_length() - 1) * self.gcd[i]
 
 
-def _mms_violation(instance, rounds, cap=16, state=None):
+def _mms_violation(instance, rounds, cap=SHARE_CAP, state=None):
     """First agent whose bundle misses their maximin share over the pool of
     every hand-out in ``rounds``, as ``(agent, None, gap, 1)`` with the gap
     in table integers.  ``state`` is ``(share, have)``: ``share(i)`` gives
@@ -424,7 +426,7 @@ def _mms_violation(instance, rounds, cap=16, state=None):
     return None
 
 
-def is_mms(instance: TemporalInstance, bundles: Bundles, cap: int | None = 16) -> bool:
+def is_mms(instance: TemporalInstance, bundles: Bundles, cap: int | None = SHARE_CAP) -> bool:
     """Each agent's bundle is worth at least their maximin share of the pool.
 
     The pool is the union of the given bundles.
@@ -462,12 +464,11 @@ def check_temporal(
     or a holding verdict.  ``landing[t]`` lists the hand-outs placed at
     round t; one sweep over those rounds appends each to the prefix once,
     and folds its goods into the worth state of an envy concept or, under
-    ``tmms`` with two agents, into running own totals and a ``_TwoShares``
-    over every good that grows each agent's share (more agents get each
-    prefix's shares from its pool).  Prefixes only change on rounds where
-    something is handed out, so only those are examined.  The removed good
-    is found once, at the witness: the smallest id, among the envied
-    agent's hand-outs, with the binding value.
+    ``tmms``, into running own totals and an n-part ``_GrownShares`` over
+    every good, which grows each agent's share.  Prefixes only change on
+    rounds where something is handed out, so only those are examined.  The
+    removed good is found once, at the witness: the smallest id, among the
+    envied agent's hand-outs, with the binding value.
     """
     validate(instance, allocation)
     n = instance.n_agents
@@ -478,18 +479,17 @@ def check_temporal(
     for gid, t in allocation.placement.items():
         landing.setdefault(t, []).append((allocation.owner[gid] - 1, gid))
     rounds: list[list[tuple[int, str]]] = []
-    worth = grown = None
     if pick:
         worth = _worth(instance, rounds, pick)
-    elif n == 2:
-        grown = _TwoShares(list(zip(*columns.values())))
-        worth = (grown.share, [0, 0])
+    else:
+        grown = _GrownShares(list(zip(*columns.values())), n)
+        worth = (grown.share, [0] * n)
     for t in sorted(landing):
         rounds.append(landing[t])
         if pick:
             for j, gid in landing[t]:
                 fold(*worth, j, columns[gid], pick)
-        elif grown:
+        else:
             for j, gid in landing[t]:
                 grown.add(columns[gid])
                 worth[1][j] += columns[gid][j]

@@ -299,7 +299,7 @@ def classify(instance: TemporalInstance) -> SettingClass:
     positive = sorted(v for v in distinct if v > 0)
     gen_binary = len(positive) <= 1
     bi_valued = 0 not in distinct and len(distinct) >= 1 and len(positive) <= 2
-    if bi_valued and positive:
+    if bi_valued:
         levels = (Fraction(positive[0], instance.scale), Fraction(positive[-1], instance.scale))
     else:
         levels = None

@@ -19,7 +19,8 @@ from functools import cache
 from math import prod
 
 from .errors import SearchCapExceeded
-from .fairness import REMOVAL, Concept, _int_share, _worth, envy_rows, folded, prefix_violation
+from .fairness import (REMOVAL, SHARE_CAP, Concept, _int_share, _worth, envy_rows, folded,
+                       prefix_violation)
 from .model import TemporalAllocation, TemporalInstance, allocation_to_json
 
 
@@ -125,7 +126,7 @@ def search(
         else:
             last = a
         windows.append(range(a, last + 1))
-    space_bound = prod(n * len(w) for w in windows) if m else 1
+    space_bound = prod(n * len(w) for w in windows)
 
     # good k closes rounds arrival(k) .. arrival(k+1)-1: no good left to
     # decide can land in them, so their prefixes are final and checkable
@@ -146,7 +147,7 @@ def search(
         # each agent's share of it is computed once, when first asked
         def shares(s: int):
             arrived = sum(1 for a in arrivals if a <= s)
-            return cache(lambda i: _int_share(rows[i][:arrived], n, 16))
+            return cache(lambda i: _int_share(rows[i][:arrived], n, SHARE_CAP))
 
         worth = [(shares(s), None) for s in range(horizon + 1)]
     # goods with one value vector are interchangeable in every verdict:

@@ -19,7 +19,7 @@ from itertools import accumulate
 from typing import Callable, Sequence
 
 from .errors import PreconditionError, SolverFailure
-from .fairness import (Concept, _TwoShares, _envy_violation, _int_share, _own_worth,
+from .fairness import (Concept, _GrownShares, _envy_violation, _int_share, _own_worth,
                        _split_ok, _worth, envy_rows, folded)
 from .model import (
     TemporalAllocation,
@@ -537,28 +537,23 @@ def _emit(instance, placed, rule, trace):
     return _allocation(instance, owner, placement)
 
 
-def _least(current, value):
-    """Running minimum, where None means "no good yet"."""
-    return value if current is None or value < current else current
-
-
 def _placed_bounds(instance):
     """``bounds(t, waiting)``: both agents' totals and two-part maximin
     shares of the goods placed by round t of a two-agent identical-days
-    instance, memoized.  ``waiting[k]`` counts the arrived copies of the
-    k-th day vector, in sorted order, that are not placed yet.  With
+    instance, memoized.  ``waiting[k]`` (0 by default) counts the arrived
+    copies of the k-th day vector, in sorted order, not placed yet.  With
     nothing waiting, a round past every one asked before grows one
-    ``fairness._TwoShares`` by the days in between, so a walk along the
+    ``fairness._GrownShares`` by the days in between, so a walk along the
     pool rounds folds each day in once; other entries use their own pool."""
     day = _by_vector(instance, instance.rounds[0])
     vecs = sorted(day)
     copies = [v for v in vecs for _ in day[v]]  # one day's value vectors
     idle = (0,) * len(vecs)
-    grown = _TwoShares([[v[a] for v in copies] * instance.horizon for a in (0, 1)])
+    grown = _GrownShares([[v[a] for v in copies] * instance.horizon for a in (0, 1)])
     memo: dict[tuple, tuple] = {}
     reached = 0  # the days folded into grown
 
-    def bounds(t, waiting):
+    def bounds(t, waiting=idle):
         nonlocal reached
         key = (t, waiting)
         if key not in memo and waiting == idle and t > reached:
@@ -612,23 +607,22 @@ def _search_pool_splits(instance, pools, bounds):
     """Depth-first split search over pooled rounds for two agents.
 
     State per depth: both agents' values of agent 1's pile plus the
-    cheapest good each agent sees in the other's pile (what the
-    any-good-removal check depends on).  ``_first_plan`` walks the pools,
-    each split mask a move; splits failing envy or share checks at their
-    pool's round are pruned.  Agent 1's pile values run from mask to mask
-    like a binary counter, so a split that misses a maximin share is
-    dropped before its minima, key or envy test.  Each pool holds whole
-    days and lands on the round of its last day, so ``bounds`` sees
-    nothing waiting there.
+    cheapest good each agent sees in the other's pile, the top value of a
+    day while it is empty (what the any-good-removal check depends on).
+    ``_first_plan`` walks the pools, each split mask a move; splits failing
+    envy or share checks at their pool's round are pruned.  Agent 1's pile
+    values run from mask to mask like a binary counter, so a split that
+    misses a maximin share is dropped before its minima, key or envy test.
+    Each pool holds whole days and lands on the round of its last day, so
+    ``bounds`` sees nothing waiting there.
     Returns (good, owner, round) triples, pool by pool in id order, or None.
     """
     v1, v2 = instance.value_table[1], instance.value_table[2]
     ordered_pools = [sorted(pool, key=good_key) for pool, _ in pools]
-    idle = (0,) * len(_by_vector(instance, instance.rounds[0]))
 
     def moves(p, state):
         pool = ordered_pools[p]
-        placed = (totals, shares) = bounds(pools[p][1], idle)
+        placed = (totals, shares) = bounds(pools[p][1])
         p1, p2 = [v1[g] for g in pool], [v2[g] for g in pool]
         below1, below2 = list(accumulate(p1, initial=0)), list(accumulate(p2, initial=0))
         n1v1, n1v2, min2, min1 = state
@@ -643,9 +637,9 @@ def _search_pool_splits(instance, pools, bounds):
             nmin2, nmin1 = min2, min1
             for idx, g in enumerate(pool):
                 if mask >> idx & 1:
-                    if nmin2 is None or v2[g] < nmin2:
+                    if v2[g] < nmin2:
                         nmin2 = v2[g]
-                elif nmin1 is None or v1[g] < nmin1:
+                elif v1[g] < nmin1:
                     nmin1 = v1[g]
             key = (n1v1, n1v2, nmin2, nmin1)
             if key in tried:
@@ -654,7 +648,8 @@ def _search_pool_splits(instance, pools, bounds):
             if _split_ok(*placed, *key):
                 yield mask, key
 
-    plan = _first_plan(len(ordered_pools), moves, (0, 0, None, None))
+    top = max([v[g] for v in (v1, v2) for g in instance.rounds[0]], default=0)
+    plan = _first_plan(len(ordered_pools), moves, (0, 0, top, top))
     if plan is None:
         return None
     return [(g, 1 if mask >> idx & 1 else 2, target)
@@ -715,8 +710,8 @@ def _search_window(instance, bounds):
                         key = (
                             a1v1 + x * v[0],
                             a1v2 + x * v[1],
-                            _least(min2, v[1]) if x else min2,
-                            _least(min1, v[0]) if x < placed else min1,
+                            min(min2, v[1]) if x else min2,
+                            min(min1, v[0]) if x < placed else min1,
                             waits + (ages,),
                         )
                         if key not in grown:
@@ -727,7 +722,8 @@ def _search_window(instance, bounds):
             if _split_ok(totals, shares, *after):
                 yield picks, (waits, tuple(after))
 
-    plan = _first_plan(T, moves, (((0,) * reach,) * len(vecs), (0, 0, None, None)))
+    top = max(map(max, vecs), default=0)
+    plan = _first_plan(T, moves, (((0,) * reach,) * len(vecs), (0, 0, top, top)))
     if plan is None:
         return None
     placed = []

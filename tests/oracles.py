@@ -246,15 +246,15 @@ def reference_pool_splits(instance, pools, bounds):
     only the ``tried`` set skips a repeated key.  Same arguments and
     result: (good, owner, round) triples, or None."""
     from tempfair.model import good_key
-    from tempfair.solvers import _by_vector, _first_plan, _split_ok
+    from tempfair.solvers import _first_plan, _split_ok
 
     v1, v2 = instance.value_table[1], instance.value_table[2]
     ordered_pools = [sorted(pool, key=good_key) for pool, _ in pools]
-    idle = (0,) * len(_by_vector(instance, instance.rounds[0]))
+    top = max(map(max, instance.columns.values()), default=0)
 
     def moves(p, state):
         pool = ordered_pools[p]
-        placed = bounds(pools[p][1], idle)
+        placed = bounds(pools[p][1])
         tried = set()
         for mask in range(1 << len(pool)):
             n1v1, n1v2, nmin2, nmin1 = state
@@ -262,10 +262,9 @@ def reference_pool_splits(instance, pools, bounds):
                 if mask >> idx & 1:
                     n1v1 += v1[g]
                     n1v2 += v2[g]
-                    if nmin2 is None or v2[g] < nmin2:
-                        nmin2 = v2[g]
-                elif nmin1 is None or v1[g] < nmin1:
-                    nmin1 = v1[g]
+                    nmin2 = min(nmin2, v2[g])
+                else:
+                    nmin1 = min(nmin1, v1[g])
             key = (n1v1, n1v2, nmin2, nmin1)
             if key in tried:
                 continue
@@ -273,7 +272,7 @@ def reference_pool_splits(instance, pools, bounds):
             if _split_ok(*placed, *key):
                 yield mask, key
 
-    plan = _first_plan(len(ordered_pools), moves, (0, 0, None, None))
+    plan = _first_plan(len(ordered_pools), moves, (0, 0, top, top))
     if plan is None:
         return None
     return [(g, 1 if mask >> idx & 1 else 2, target)

@@ -165,8 +165,10 @@ def test_split_ok_with_one_pile_empty():
         totals = tuple(sum(values[i].values()) for i in (1, 2))
         shares = tuple(naive_mms_share(list(values[i].values()), 2) for i in (1, 2))
         a1 = [sum(values[i][g] for g in bundles[1]) for i in (1, 2)]
-        min2_in_a1 = min((values[2][g] for g in bundles[1]), default=None)
-        min1_in_a2 = min((values[1][g] for g in bundles[2]), default=None)
+        # an empty pile's minimum is the top value, as the split searches start it
+        top = max((v for i in (1, 2) for v in values[i].values()), default=0)
+        min2_in_a1 = min((values[2][g] for g in bundles[1]), default=top)
+        min1_in_a2 = min((values[1][g] for g in bundles[2]), default=top)
         expected = (naive_efx(values, bundles)
                     and a1[0] >= shares[0] and totals[1] - a1[1] >= shares[1])
         assert _split_ok(totals, shares, *a1, min2_in_a1, min1_in_a2) == expected, bundles

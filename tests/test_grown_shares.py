@@ -1,14 +1,15 @@
-"""Two-agent maximin shares grown across prefixes, against per-prefix shares.
+"""Maximin shares grown across prefixes, against per-prefix shares.
 
-``fairness._TwoShares`` grows one subset-sum bitset per agent as goods are
-added; the share at every prefix must equal ``_int_share`` of that
-prefix's pool.  Draws are seeded: columns with a common factor, zeros,
-prefixes with fewer than two positive goods, and values large enough that
-the bitset would be wider than the share kernel allows, so each share goes
-to ``_int_share`` instead.  The same holds through its two users, the
-two-agent ``tmms`` check and the zero-waiting entries of
-``solvers._placed_bounds``; counting ``_int_share`` calls shows that
-neither rebuilds a share per prefix.
+``fairness._GrownShares`` grows one subset-sum bitset per agent as goods
+are added for two parts, and keeps the pool for any other part count; the
+share at every prefix must equal ``_int_share`` of that prefix's pool.
+Draws are seeded: columns with a common factor, zeros, prefixes with fewer
+than two positive goods, and values large enough that the bitset would be
+wider than the share kernel allows, so each share goes to ``_int_share``
+instead; 1 and 3 parts run on the first 16 goods.  The same holds through
+its two-part users, the two-agent ``tmms`` check and the zero-waiting
+entries of ``solvers._placed_bounds``; counting ``_int_share`` calls shows
+that neither rebuilds a share per prefix.
 """
 
 import importlib
@@ -19,7 +20,7 @@ import pytest
 
 from tempfair import Concept, SOLVERS, TemporalAllocation, check_temporal, generate, search
 from tempfair import fairness, solvers
-from tempfair.fairness import _int_share, _TwoShares, prefix_violation
+from tempfair.fairness import SHARE_CAP, _GrownShares, _int_share, prefix_violation
 from tempfair.model import TemporalInstance
 
 TMMS = Concept("tmms")
@@ -48,16 +49,19 @@ def test_grown_share_matches_int_share_at_every_prefix(seed):
     rng = random.Random(seed)
     style = STYLES[seed % 3]
     columns = _columns(rng, rng.randint(0, MOST_GOODS[style]), style)
-    grown = _TwoShares(columns)
-    # two or more 40-bit values keep a bitset of about 2**39 bits: too wide
-    assert [p is not None for p in grown.pool] == [
-        style == "wide" and sum(1 for v in c if v) >= 2 for c in columns]
-    for k in range(len(columns[0]) + 1):
-        if k:
-            grown.add([c[k - 1] for c in columns])
-        for i, column in enumerate(columns):
-            assert grown.total[i] == sum(column[:k])
-            assert grown.share(i) == _int_share(column[:k], 2, None)
+    # other part counts keep the pool, under the exact-search cap
+    for parts, most in ((2, None), (1, SHARE_CAP), (3, SHARE_CAP)):
+        pools = [column[:most] for column in columns]
+        grown = _GrownShares(pools, parts)
+        # two or more 40-bit values keep a bitset of about 2**39 bits: too wide
+        assert [p is not None for p in grown.pool] == [
+            parts != 2 or style == "wide" and sum(1 for v in c if v) >= 2 for c in pools]
+        for k in range(len(pools[0]) + 1):
+            if k:
+                grown.add([c[k - 1] for c in pools])
+            for i, column in enumerate(pools):
+                assert grown.total[i] == sum(column[:k])
+                assert grown.share(i) == _int_share(column[:k], parts, None)
 
 
 def _instance(rng, style):

@@ -482,10 +482,12 @@ class TestScheduledTwoAgents:
             if window_cases == 3:
                 break
 
-    @pytest.mark.parametrize("seed", range(40))
+    @pytest.mark.parametrize("seed", [*range(40), pytest.param(None, id="all-zero")])
     def test_pool_splits_match_the_plain_mask_loop(self, seed):
-        # the share slot's shape: odd horizons 7-11, five goods a day, buffer 2
-        instance = generate(2, 7 + 2 * (seed % 3), 5, 20, seed, identical_days=True, buffer=2)
+        # the share slot's shape: odd horizons 7-11, five goods a day, buffer 2;
+        # on all-zero days an empty pile's key meets a held one's
+        instance = (make_instance([[(0, 0)] * 5] * 7, buffer=2) if seed is None else
+                    generate(2, 7 + 2 * (seed % 3), 5, 20, seed, identical_days=True, buffer=2))
         assert pool_splits(instance) == pool_splits(instance, reference_pool_splits)
 
     @pytest.mark.parametrize("instance, stages", [
